@@ -25,7 +25,7 @@ use minic::ast::{
     Block, Expr, ExprKind, MemoOperand, OperandShape, ScalarKind, StmtKind, Type, UnOp,
 };
 use minic::sema::{Checked, Res};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 
 /// The determined interface of a segment.
 #[derive(Debug, Clone)]
@@ -179,9 +179,11 @@ pub fn seg_io(checked: &Checked, an: &Analyses, seg: &Segment) -> Result<SegIo, 
             .collect()
     };
 
-    // Drop invariants (and inside-declared locals) from the key.
+    // Drop invariants (and inside-declared locals) from the key. Inputs
+    // and defs are walked in `VarId` order, so the first unsupported
+    // operand a reject names is the same on every run.
     let invariants = invariant_vars(checked, an, seg, &ue_vars);
-    let input_vars: HashSet<VarId> = ue_vars
+    let input_vars: BTreeSet<VarId> = ue_vars
         .difference(&invariants)
         .copied()
         .filter(|v| !declared_inside.contains(v))
@@ -213,7 +215,7 @@ pub fn seg_io(checked: &Checked, an: &Analyses, seg: &Segment) -> Result<SegIo, 
     invariant_reads.dedup();
 
     // Aggregate region defs and their liveness at region exits.
-    let mut defs: HashSet<VarId> = HashSet::new();
+    let mut defs: BTreeSet<VarId> = BTreeSet::new();
     for &b in &region {
         defs.extend(block_fx[b].strong_defs.iter().copied());
         defs.extend(block_fx[b].weak_defs.iter().copied());

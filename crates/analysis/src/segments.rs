@@ -233,6 +233,10 @@ pub enum Reject {
     OverheadDominates,
     /// Executed too rarely to be worth value-profiling.
     ColdCode,
+    /// Reading the key trapped on some profiled execution (an input that
+    /// is uninitialised on a path the body never uses), so a memo probe
+    /// would trap where the original program does not.
+    KeyReadTrap,
 }
 
 impl fmt::Display for Reject {
@@ -247,6 +251,7 @@ impl fmt::Display for Reject {
             Reject::NoOutputs => write!(f, "no outputs to reuse"),
             Reject::OverheadDominates => write!(f, "hashing overhead >= granularity"),
             Reject::ColdCode => write!(f, "executed too rarely"),
+            Reject::KeyReadTrap => write!(f, "reading the key trapped"),
         }
     }
 }

@@ -355,3 +355,27 @@ fn ambiguous_pointer_target_rejected() {
     // pointees → ambiguous.
     assert!(matches!(err, Reject::UnsupportedOperand(_)), "{err:?}");
 }
+
+#[test]
+fn reject_text_is_the_same_on_every_run() {
+    // Each call builds fresh hash sets with fresh random seeds, so a
+    // reject that named whichever offending variable a set yielded first
+    // would change from call to call.
+    let mut unsupported = 0;
+    for w in [workloads::mpeg2::encode(), workloads::mpeg2::decode()] {
+        let checked = w.checked();
+        let an = Analyses::build(&checked);
+        for seg in segments::enumerate(&checked) {
+            let first = format!("{:?}", seg_io(&checked, &an, &seg).map(|io| io.inputs));
+            unsupported += usize::from(first.contains("UnsupportedOperand"));
+            for _ in 0..20 {
+                let again = format!("{:?}", seg_io(&checked, &an, &seg).map(|io| io.inputs));
+                assert_eq!(first, again, "{} {}", w.name, seg.name);
+            }
+        }
+    }
+    assert!(
+        unsupported > 0,
+        "no MPEG2 segment exercised an operand reject"
+    );
+}

@@ -3,7 +3,9 @@
 //! ```text
 //! source → [specialize §2.4] → enumerate segments → structural screen
 //!        → input/output analysis (§2.1) → static O/C < 1 pre-filter
-//!        → execution-frequency filter → value-set profiling
+//!        → one instrumented profiling run
+//!            ├ execution counts → frequency filter
+//!            └ value-set profiles → survivors only
 //!        → cost-benefit selection (formula 3) → nesting resolution (§2.3)
 //!        → table merging (§2.5) → memoization transform (Fig. 2(b))
 //! ```
@@ -26,7 +28,6 @@ use analysis::{Analyses, SegKind, Segment};
 use memo_runtime::TableSpec;
 use minic::ast::{NodeId, Program};
 use minic::sema::Checked;
-use std::collections::HashMap;
 use std::fmt;
 use vm::{CostModel, ProfileData, RunConfig};
 
@@ -36,11 +37,12 @@ pub struct PipelineConfig {
     /// Cost model the decisions are made for (the paper profiles the same
     /// binary it measures).
     pub cost: CostModel,
-    /// Input stream for the frequency and value-set profiling runs.
+    /// Input stream for the profiling run, which yields both the
+    /// execution counts and the value-set profiles.
     pub profile_input: Vec<i64>,
-    /// Segments executed fewer times than this are not value-profiled
-    /// (the paper's first stage: "filter out code segments which are
-    /// executed infrequently").
+    /// Segments executed fewer times than this are dropped before
+    /// cost-benefit (the paper's first stage: "filter out code segments
+    /// which are executed infrequently").
     pub min_exec: u64,
     /// Optional per-table byte cap (Figures 14/15 sweep).
     pub bytes_cap: Option<usize>,
@@ -61,9 +63,9 @@ pub struct PipelineConfig {
     /// Apply the §2.3 nesting resolution (ablation toggle; when off, every
     /// profitable segment is transformed).
     pub enable_nesting: bool,
-    /// Cycle budget for the profiling runs.
+    /// Cycle budget for the profiling run.
     pub max_profile_cycles: u64,
-    /// Execution engine for the profiling runs. Both engines charge
+    /// Execution engine for the profiling run. All engines charge
     /// identical modelled cycles, so this only affects host wall-clock;
     /// the default ([`vm::Engine::Bytecode`]) is the fast one.
     pub engine: vm::Engine,
@@ -100,7 +102,7 @@ impl Default for PipelineConfig {
 pub enum PipelineError {
     /// The program (or an intermediate transform) failed the front end.
     FrontEnd(String),
-    /// A profiling run trapped.
+    /// The profiling run trapped.
     Trap(vm::Trap),
 }
 
@@ -120,7 +122,8 @@ impl std::error::Error for PipelineError {}
 pub struct SegDecision {
     /// Segment name.
     pub name: String,
-    /// Executions observed by the frequency run.
+    /// Executions counted by the profiling run's call, loop and branch
+    /// counters (the frequency filter's input).
     pub exec_count: u64,
     /// Static granularity estimate (cycles).
     pub static_c: f64,
@@ -163,8 +166,8 @@ pub struct SegDecision {
 pub struct Report {
     /// Segments enumerated ("Analyzed CS").
     pub analyzed: usize,
-    /// Segments passing structure + interface + pre-filter + frequency
-    /// ("Profiled CS").
+    /// Segments passing structure + interface + pre-filter + frequency,
+    /// with a key readable on every execution ("Profiled CS").
     pub profiled: usize,
     /// Segments transformed ("Transformed CS").
     pub transformed: usize,
@@ -335,8 +338,9 @@ impl ReuseOutcome {
 ///
 /// # Errors
 ///
-/// Returns [`PipelineError`] if the program fails the front end or a
-/// profiling run traps.
+/// Returns [`PipelineError`] if the program fails the front end or the
+/// profiling run traps. A probe's own key read never traps the run: the
+/// segment is rejected with [`Reject::KeyReadTrap`] instead.
 pub fn run_pipeline(
     program: &Program,
     config: &PipelineConfig,
@@ -427,96 +431,88 @@ pub fn run_pipeline(
         candidates.push((seg, io, cost, plan));
     }
 
-    // Stage 2: execution-frequency filter.
+    // Stage 2: one instrumented run does the paper's two profiling stages.
+    // Every candidate is probed, and the run's own call/loop/branch
+    // counters give the execution counts for the frequency filter. Probes
+    // charge no modelled cycles and lower to no loops or branches, so the
+    // counters, and each survivor's profile once the cold candidates are
+    // dropped, equal what separate frequency and value-set runs measure.
     let module = vm::lower(&checked);
-    let freq = vm::run(
-        &module,
+    let probes: Vec<ProbeSpec> = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, (seg, io, _, _))| ProbeSpec::for_segment(seg, i, io.inputs.clone()))
+        .collect();
+    let instrumented = minic::check(insert_probes(&checked.program, &probes))
+        .map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
+    let imodule = vm::lower(&instrumented);
+    assert_eq!(
+        (imodule.loop_origins.len(), imodule.branch_origins.len()),
+        (module.loop_origins.len(), module.branch_origins.len()),
+        "probes must not add loops or branches"
+    );
+    let mut run = vm::run(
+        &imodule,
         RunConfig {
             cost: config.cost.clone(),
             input: config.profile_input.clone(),
             max_cycles: config.max_profile_cycles,
             engine: config.engine,
             // The specialized tier mines its superinstructions from this
-            // run's dispatch trace (no plan exists yet, so the run itself
-            // executes on the generic bytecode path).
+            // run's dispatch trace, which skips the probes (no plan exists
+            // yet, so the run executes on the generic bytecode path).
             record_trace: config.engine == vm::Engine::Specialized,
             ..RunConfig::default()
         },
     )
     .map_err(PipelineError::Trap)?;
-    let loop_index: HashMap<NodeId, usize> = module
-        .loop_origins
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, i))
-        .collect();
-    let branch_index: HashMap<NodeId, usize> = module
-        .branch_origins
-        .iter()
-        .enumerate()
-        .map(|(i, &id)| (id, i))
-        .collect();
+    let mut probed = run.profile.take().unwrap_or_default().segs;
+    let counter = |origins: &[NodeId], id| origins.iter().position(|&o| o == id);
+    let loop_count = |id| counter(&module.loop_origins, id).map_or(0, |i| run.loop_counts[i]);
     let exec_count = |seg: &Segment| -> u64 {
         match seg.kind {
-            SegKind::FuncBody => freq.func_calls[seg.func],
-            SegKind::LoopBody(id) => loop_index
-                .get(&id)
-                .map(|&i| freq.loop_counts[i])
-                .unwrap_or(0),
-            SegKind::IfBranch(id, then) => branch_index
-                .get(&id)
-                .map(|&i| freq.branch_counts[i * 2 + usize::from(!then)])
-                .unwrap_or(0),
+            SegKind::FuncBody => run.func_calls[seg.func],
+            SegKind::LoopBody(id) => loop_count(id),
+            SegKind::IfBranch(id, then) => counter(&module.branch_origins, id)
+                .map_or(0, |i| run.branch_counts[i * 2 + usize::from(!then)]),
+            // A bare block runs as often as its innermost enclosing loop
+            // iterates (or as often as the function is called).
             SegKind::BareBlock(id) => {
-                // A bare block runs as often as its innermost enclosing
-                // loop iterates (or as often as the function is called).
-                match crate::subsegment::enclosing_loop(&checked.program.funcs[seg.func].body, id) {
-                    Some(loop_id) => loop_index
-                        .get(&loop_id)
-                        .map(|&i| freq.loop_counts[i])
-                        .unwrap_or(0),
-                    None => freq.func_calls[seg.func],
-                }
+                crate::subsegment::enclosing_loop(&checked.program.funcs[seg.func].body, id)
+                    .map_or(run.func_calls[seg.func], loop_count)
             }
         }
     };
+
+    // The frequency filter, then the key-trap screen; the survivors'
+    // profiles are renumbered densely and lose their nesting counts under
+    // segments that were filtered out.
+    let mut renumber: Vec<Option<u32>> = vec![None; candidates.len()];
     let mut survivors: Vec<(Segment, SegIo, SegCost, DepPlan, u64)> = Vec::new();
-    for (seg, io, cost, plan) in candidates {
+    let mut profile = ProfileData::default();
+    for (i, (seg, io, cost, plan)) in candidates.into_iter().enumerate() {
         let count = exec_count(&seg);
-        if count < config.min_exec {
-            report.rejects.push((seg.name.clone(), Reject::ColdCode));
+        let sp = std::mem::take(&mut probed[i]);
+        let reject = if count < config.min_exec {
+            Reject::ColdCode
+        } else if sp.key_traps > 0 {
+            Reject::KeyReadTrap
+        } else {
+            renumber[i] = Some(survivors.len() as u32);
+            survivors.push((seg, io, cost, plan, count));
+            profile.segs.push(sp);
             continue;
-        }
-        survivors.push((seg, io, cost, plan, count));
+        };
+        report.rejects.push((seg.name, reject));
+    }
+    for sp in &mut profile.segs {
+        sp.within = sp
+            .within
+            .drain()
+            .filter_map(|(outer, c)| renumber[outer as usize].map(|o| (o, c)))
+            .collect();
     }
     report.profiled = survivors.len();
-
-    // Stage 3: value-set profiling.
-    let probes: Vec<ProbeSpec> = survivors
-        .iter()
-        .enumerate()
-        .map(|(i, (seg, io, _, _, _))| ProbeSpec::for_segment(seg, i, io.inputs.clone()))
-        .collect();
-    let profile = if probes.is_empty() {
-        ProfileData::default()
-    } else {
-        let instrumented = insert_probes(&checked.program, &probes);
-        let ichecked =
-            minic::check(instrumented).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
-        let imodule = vm::lower(&ichecked);
-        let out = vm::run(
-            &imodule,
-            RunConfig {
-                cost: config.cost.clone(),
-                input: config.profile_input.clone(),
-                max_cycles: config.max_profile_cycles,
-                engine: config.engine,
-                ..RunConfig::default()
-            },
-        )
-        .map_err(PipelineError::Trap)?;
-        out.profile.unwrap_or_default()
-    };
 
     // Stage 4: cost-benefit selection (formula 3).
     let mut decisions: Vec<SegDecision> = Vec::new();
@@ -524,20 +520,12 @@ pub fn run_pipeline(
     let mut profitable: Vec<usize> = Vec::new();
     for (i, (seg, io, cost, plan, count)) in survivors.iter().enumerate() {
         let sp = &profile.segs[i];
-        let planned_slots = {
-            let mut slots = TableSpec::recommended_slots(sp.dip());
-            if let Some(cap) = config.bytes_cap {
-                let per = memo_runtime::DirectTable::entry_bytes(io.key_words, io.out_words);
-                let fit = (cap / per).max(1);
-                let fit_pow2 = if fit.is_power_of_two() {
-                    fit
-                } else {
-                    fit.next_power_of_two() / 2
-                };
-                slots = slots.min(fit_pow2.max(1));
-            }
-            slots
-        };
+        let mut planned_slots = TableSpec::recommended_slots(sp.dip());
+        if let Some(cap) = config.bytes_cap {
+            // The largest power of two that fits the cap (at least one).
+            let per = memo_runtime::DirectTable::entry_bytes(io.key_words, io.out_words);
+            planned_slots = planned_slots.min(1 << (cap / per).max(1).ilog2());
+        }
         let effective = sp.effective_reuse_rate(planned_slots);
         let measured_c = sp.avg_cycles();
         // A validated segment pays the fingerprint probe on every access
@@ -682,7 +670,7 @@ pub fn run_pipeline(
     /// Minimum profiled recurrence for a key to count as dominant.
     const DOMINANT_MIN_RECURRENCE: u64 = 8;
     let spec_plan = if config.engine == vm::Engine::Specialized {
-        let hot_pairs = freq
+        let hot_pairs = run
             .trace
             .as_ref()
             .map(|t| t.top_pairs(16, 64))

@@ -339,6 +339,50 @@ mod tests {
     }
 
     #[test]
+    fn probe_key_trap_is_counted_on_every_engine() {
+        // `t` is first read (and first keyed) before it is written: the
+        // probe's key read traps on iteration 0 only, and the program
+        // itself never reads `t` uninitialised.
+        let checked = minic::compile(
+            "int main() {
+                int s = 0;
+                int t;
+                for (int i = 0; i < 40; i++) {
+                    if (i > 0) s += t;
+                    t = i;
+                }
+                return s;
+            }",
+        )
+        .unwrap();
+        let segs = segments::enumerate(&checked);
+        let body = segs
+            .iter()
+            .find(|s| matches!(s.kind, SegKind::LoopBody(_)))
+            .unwrap();
+        let probe =
+            ProbeSpec::for_segment(body, 0, vec![MemoOperand::scalar("t", ScalarKind::Int)]);
+        let module = vm::lower(&minic::check(insert_probes(&checked.program, &[probe])).unwrap());
+        for engine in [
+            vm::Engine::Tree,
+            vm::Engine::Bytecode,
+            vm::Engine::Specialized,
+        ] {
+            let out = vm::run(
+                &module,
+                vm::RunConfig {
+                    engine,
+                    ..vm::RunConfig::default()
+                },
+            )
+            .unwrap();
+            assert_eq!(out.ret, (0..39).sum::<i64>(), "{engine}");
+            let seg = &out.profile.unwrap().segs[0];
+            assert_eq!((seg.n, seg.key_traps, seg.dip()), (40, 1, 39), "{engine}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "not found")]
     fn stale_segment_id_panics() {
         let checked = minic::compile(SRC).unwrap();

@@ -350,3 +350,78 @@ fn bytes_cap_shrinks_tables() {
         assert!(capped.specs[0].slots < full_size.specs[0].slots);
     }
 }
+
+/// `t` is written at the end of every iteration and read only from the
+/// second one on. The program never reads it uninitialised, but the loop
+/// body's key includes `t`, and reading that key traps on iteration 0.
+fn late_init_src(iterations: u32) -> String {
+    format!(
+        "int main() {{
+            int s = 0;
+            int t;
+            for (int i = 0; i < {iterations}; i++) {{
+                if (i > 0) {{
+                    for (int j = 0; j < 20; j++) s += t * j;
+                }}
+                t = i % 4;
+            }}
+            print(s);
+            return 0;
+        }}"
+    )
+}
+
+/// Runs the pipeline on every engine; all must agree on the report.
+fn key_trap_rejects(iterations: u32) -> Vec<(String, analysis::Reject)> {
+    let mut reports = Vec::new();
+    for engine in [
+        vm::Engine::Tree,
+        vm::Engine::Bytecode,
+        vm::Engine::Specialized,
+    ] {
+        let config = PipelineConfig {
+            engine,
+            ..PipelineConfig::default()
+        };
+        let (outcome, base, memo) = full(&late_init_src(iterations), &config, vec![]);
+        assert_eq!(base.output_text(), memo.output_text(), "{engine}");
+        let decisions: Vec<(String, bool)> = outcome
+            .report
+            .decisions
+            .iter()
+            .map(|d| (d.name.clone(), d.chosen))
+            .collect();
+        reports.push((outcome.report.rejects, decisions));
+    }
+    assert!(reports.windows(2).all(|w| w[0] == w[1]), "{reports:?}");
+    reports.swap_remove(0).0
+}
+
+#[test]
+fn hot_segment_whose_key_read_traps_is_rejected_not_fatal() {
+    let rejects = key_trap_rejects(100);
+    let trapped: Vec<&str> = rejects
+        .iter()
+        .filter(|(_, r)| *r == analysis::Reject::KeyReadTrap)
+        .map(|(n, _)| n.as_str())
+        .collect();
+    assert_eq!(trapped.len(), 1, "{rejects:?}");
+    assert!(trapped[0].starts_with("main:loop#"), "{trapped:?}");
+}
+
+#[test]
+fn cold_segment_whose_key_read_traps_is_rejected_as_cold() {
+    let rejects = key_trap_rejects(10);
+    assert!(
+        !rejects
+            .iter()
+            .any(|(_, r)| *r == analysis::Reject::KeyReadTrap),
+        "{rejects:?}"
+    );
+    assert!(
+        rejects
+            .iter()
+            .any(|(n, r)| n.starts_with("main:loop#") && *r == analysis::Reject::ColdCode),
+        "{rejects:?}"
+    );
+}

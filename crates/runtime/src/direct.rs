@@ -500,6 +500,8 @@ mod tests {
         assert!(out.is_empty());
     }
 
+    // The check is a debug_assert!, compiled out of release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "key width mismatch")]
     fn wrong_key_width_panics() {

@@ -819,19 +819,24 @@ impl<'m> Machine<'m> {
             return self.exec_block(&p.body);
         }
         let ks = self.key_arena.len();
-        for op in &p.inputs {
+        let read = p.inputs.iter().try_for_each(|op| {
             read_operand_into(
                 &self.mem,
                 self.frame,
                 op,
                 &mut self.key_arena,
                 &mut self.dep_rt,
-            )?;
-        }
-        {
-            let prof = self.profiler.as_mut().expect("profiler present");
-            let seg = &mut prof.segs[p.seg as usize];
-            seg.n += 1;
+            )
+        });
+        let prof = self.profiler.as_mut().expect("profiler present");
+        let seg = &mut prof.segs[p.seg as usize];
+        seg.n += 1;
+        if read.is_err() {
+            // A key that cannot be read (an uninitialised local on a path
+            // the body never uses) is counted, not fatal: the probe must
+            // not change what the program does.
+            seg.key_traps += 1;
+        } else {
             let key = &self.key_arena[ks..];
             // Box the key only on first occurrence; repeats hit get_mut.
             if let Some(c) = seg.distinct.get_mut(key) {

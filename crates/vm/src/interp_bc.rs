@@ -303,7 +303,11 @@ impl BcMachine<'_, '_> {
         loop {
             let instr = &code[pc as usize];
             if let Some(t) = self.trace.as_deref_mut() {
-                t.step(op_kind(instr));
+                // Profile probes are invisible to the trace, so a profiling
+                // run mines the same pairs as the uninstrumented program.
+                if !matches!(instr, Instr::ProfileEnter(_) | Instr::ProfileExit(_)) {
+                    t.step(op_kind(instr));
+                }
                 if t.saturated() {
                     // Budget spent: park the recorder so the rest of the
                     // run pays only the `None` check every engine pays.
@@ -777,7 +781,7 @@ impl BcMachine<'_, '_> {
                     pc += 1;
                 }
                 Instr::ProfileEnter(id) => {
-                    self.profile_enter(*id)?;
+                    self.profile_enter(*id);
                     pc += 1;
                 }
                 Instr::ProfileExit(id) => {
@@ -1018,22 +1022,25 @@ impl BcMachine<'_, '_> {
         Ok(())
     }
 
-    fn profile_enter(&mut self, id: u32) -> Result<(), Trap> {
+    fn profile_enter(&mut self, id: u32) {
         let p = self.bc.profiles[id as usize];
         let ks = self.key_arena.len();
-        for op in &p.inputs {
+        let read = p.inputs.iter().try_for_each(|op| {
             read_operand_into(
                 &self.mem,
                 self.frame,
                 op,
                 &mut self.key_arena,
                 &mut self.dep_rt,
-            )?;
-        }
-        {
-            let prof = self.profiler.as_mut().expect("profiler present");
-            let seg = &mut prof.segs[p.seg as usize];
-            seg.n += 1;
+            )
+        });
+        let prof = self.profiler.as_mut().expect("profiler present");
+        let seg = &mut prof.segs[p.seg as usize];
+        seg.n += 1;
+        if read.is_err() {
+            // Counted, not fatal — see the tree-walker's `exec_profile`.
+            seg.key_traps += 1;
+        } else {
             let key = &self.key_arena[ks..];
             if let Some(c) = seg.distinct.get_mut(key) {
                 *c += 1;
@@ -1063,7 +1070,6 @@ impl BcMachine<'_, '_> {
             key_start: 0,
             entry_cycles: self.cycles,
         });
-        Ok(())
     }
 
     fn profile_exit(&mut self, id: u32) {

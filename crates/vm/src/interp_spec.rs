@@ -1139,7 +1139,7 @@ impl SpecMachine<'_, '_> {
                     pc += 1;
                 }
                 Instr::ProfileEnter(id) => {
-                    self.profile_enter(*id)?;
+                    self.profile_enter(*id);
                     pc += 1;
                 }
                 Instr::ProfileExit(id) => {
@@ -1395,22 +1395,24 @@ impl SpecMachine<'_, '_> {
         Ok(())
     }
 
-    fn profile_enter(&mut self, id: u32) -> Result<(), Trap> {
+    fn profile_enter(&mut self, id: u32) {
         let p = self.bc.profiles[id as usize];
         let ks = self.key_arena.len();
-        for op in &p.inputs {
+        let read = p.inputs.iter().try_for_each(|op| {
             read_operand_into(
                 &self.mem,
                 self.frame,
                 op,
                 &mut self.key_arena,
                 &mut self.dep_rt,
-            )?;
-        }
-        {
-            let prof = self.profiler.as_mut().expect("profiler present");
-            let seg = &mut prof.segs[p.seg as usize];
-            seg.n += 1;
+            )
+        });
+        let prof = self.profiler.as_mut().expect("profiler present");
+        let seg = &mut prof.segs[p.seg as usize];
+        seg.n += 1;
+        if read.is_err() {
+            seg.key_traps += 1;
+        } else {
             let key = &self.key_arena[ks..];
             if let Some(c) = seg.distinct.get_mut(key) {
                 *c += 1;
@@ -1437,7 +1439,6 @@ impl SpecMachine<'_, '_> {
             key_start: 0,
             entry_cycles: self.cycles,
         });
-        Ok(())
     }
 
     fn profile_exit(&mut self, id: u32) {

@@ -26,6 +26,12 @@ pub struct SegProfile {
     /// executions happened while `outer` was active — feeds the paper's
     /// `n` in formula (4).
     pub within: HashMap<u32, u64>,
+    /// Executions whose key read trapped (an uninitialised or
+    /// out-of-range input on a path the body does not use). They count in
+    /// `n` and `body_cycles` but record no key and no nesting; the probe
+    /// lets the program run on, and the pipeline refuses to memoize the
+    /// segment, since its memo probe would trap the same way.
+    pub key_traps: u64,
 }
 
 impl SegProfile {
@@ -61,27 +67,25 @@ impl SegProfile {
     /// Keys mapping to the same slot evict each other; without the access
     /// order we assume adversarial interleaving: only the dominant key of
     /// each slot retains its repeats.
+    ///
+    /// Per slot the loss is `Σ(c − 1) − (max − 1)`. A key seen once adds
+    /// nothing to either term, so only repeated keys are hashed.
     pub fn collision_deduction(&self, slots: usize) -> f64 {
         if self.n == 0 || slots == 0 {
             return 0.0;
         }
-        let mut per_slot: HashMap<usize, Vec<u64>> = HashMap::new();
+        let mut repeats = 0u64;
+        let mut slot_max: HashMap<usize, u64> = HashMap::new();
         for (key, &count) in &self.distinct {
-            per_slot
-                .entry(index_of(key, slots))
-                .or_default()
-                .push(count);
-        }
-        let mut lost = 0u64;
-        for counts in per_slot.values() {
-            if counts.len() > 1 {
-                let max = *counts.iter().max().expect("nonempty");
-                let total: u64 = counts.iter().sum();
-                // Repeats of non-dominant keys are assumed lost.
-                lost += total - max - (counts.len() as u64 - 1);
+            if count > 1 {
+                repeats += count - 1;
+                let max = slot_max.entry(index_of(key, slots)).or_default();
+                *max = (*max).max(count);
             }
         }
-        lost as f64 / self.n as f64
+        // Repeats of non-dominant keys are assumed lost.
+        let kept: u64 = slot_max.values().map(|&max| max - 1).sum();
+        (repeats - kept) as f64 / self.n as f64
     }
 
     /// Reuse rate after deducting estimated collisions for `slots`.
@@ -185,6 +189,53 @@ mod tests {
         // Lost = total(14) - max(10) - (2-1) = 3 of 14 accesses.
         assert!((d - 3.0 / 14.0).abs() < 1e-12);
         assert!(s.effective_reuse_rate(16) < s.reuse_rate());
+    }
+
+    /// The per-slot formula over every key, as first written.
+    fn collision_deduction_reference(s: &SegProfile, slots: usize) -> f64 {
+        if s.n == 0 || slots == 0 {
+            return 0.0;
+        }
+        let mut per_slot: HashMap<usize, Vec<u64>> = HashMap::new();
+        for (key, &count) in &s.distinct {
+            per_slot
+                .entry(index_of(key, slots))
+                .or_default()
+                .push(count);
+        }
+        let mut lost = 0u64;
+        for counts in per_slot.values() {
+            if counts.len() > 1 {
+                let max = *counts.iter().max().expect("nonempty");
+                let total: u64 = counts.iter().sum();
+                lost += total - max - (counts.len() as u64 - 1);
+            }
+        }
+        lost as f64 / s.n as f64
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn collision_deduction_matches_reference(
+            keys in proptest::collection::vec((0u64..400, 1u64..40), 0..120),
+            slots in 1usize..64,
+        ) {
+            // Mostly-singleton counts with some repeats, over one- and
+            // two-word keys, in tables small enough to collide.
+            let mut s = SegProfile::default();
+            for (k, count) in keys {
+                let key: Box<[u64]> = (k..=k + k % 2).collect();
+                let count = if count > 30 { count } else { 1 };
+                *s.distinct.entry(key).or_default() += count;
+                s.n += count;
+            }
+            proptest::prop_assert_eq!(
+                s.collision_deduction(slots).to_bits(),
+                collision_deduction_reference(&s, slots).to_bits()
+            );
+        }
     }
 
     #[test]
