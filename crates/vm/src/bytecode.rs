@@ -406,6 +406,11 @@ pub(crate) struct BcModule<'m> {
     /// Per memo id, the pc of its `MemoEnter` and of its
     /// `MemoExitNormal` — the body span `specialize` clones.
     pub(crate) memo_spans: Vec<(u32, u32)>,
+    /// Per function, the deepest its own code takes the operand stack
+    /// above the depth at entry (see [`stack_bound`]). A frame entry
+    /// reserves this many slots, so the dispatch loop never grows the
+    /// stack between calls.
+    pub(crate) max_stack: Vec<u32>,
 }
 
 /// Compiles a lowered module to flat bytecode. Cycle charges are
@@ -420,11 +425,12 @@ pub(crate) fn compile<'m>(module: &'m Module, cost: &CostModel) -> BcModule<'m> 
         memo_cost: Vec::new(),
         profiles: Vec::new(),
         memo_spans: Vec::new(),
+        max_stack: Vec::with_capacity(module.funcs.len()),
     };
     let has_profiler = !module.profile_segments.is_empty();
     for func in &module.funcs {
-        let entry = bc.code.len() as u32;
-        bc.entries.push(entry);
+        let entry = bc.code.len();
+        bc.entries.push(entry as u32);
         let mut cx = FnCx {
             bc: &mut bc,
             cost,
@@ -439,8 +445,130 @@ pub(crate) fn compile<'m>(module: &'m Module, cost: &CostModel) -> BcModule<'m> 
         // traps, same as the tree-walker.
         cx.emit(Instr::PushUninit);
         cx.emit(Instr::Ret);
+        let bound = stack_bound(&bc, module, entry);
+        bc.max_stack.push(bound);
     }
     bc
+}
+
+/// Operand-stack slots an instruction pops and then pushes on its
+/// fall-through path (a callee's frame is its own; its return value is
+/// the call's one push).
+fn stack_effect(i: &Instr, module: &Module) -> (u32, u32) {
+    match i {
+        Instr::PushI(..)
+        | Instr::PushF(..)
+        | Instr::PushFn(..)
+        | Instr::PushUninit
+        | Instr::ReadLocal(..)
+        | Instr::ReadGlobal(..)
+        | Instr::ReadIdx { .. }
+        | Instr::AddrLocal(..)
+        | Instr::AddrGlobal(..)
+        | Instr::BinaryFast { .. }
+        | Instr::PushKnown { .. } => (0, 1),
+        // A decided `ShortCircuit` pushes its 0/1 on the jump path only
+        // (see `stack_bound`).
+        Instr::Pop
+        | Instr::ShortCircuit { .. }
+        | Instr::JumpIfFalse(..)
+        | Instr::JumpIfTrue(..)
+        | Instr::BranchIf { .. }
+        | Instr::LoopCond { .. }
+        | Instr::DeclStore { .. }
+        | Instr::Ret => (1, 0),
+        Instr::ReadMem
+        | Instr::CheckPtr
+        | Instr::Unary(..)
+        | Instr::Truthy
+        | Instr::IncDecFin { .. }
+        | Instr::CoerceVal(..)
+        | Instr::CastInt
+        | Instr::CastFloat => (1, 1),
+        Instr::PtrAddRead { .. }
+        | Instr::PtrAdd(..)
+        | Instr::PtrDiff(..)
+        | Instr::Binary(..)
+        | Instr::Store { .. } => (2, 1),
+        Instr::Tick(..)
+        | Instr::Jump(..)
+        | Instr::JumpIfFalseCmp { .. }
+        | Instr::JumpIfTrueCmp { .. }
+        | Instr::BranchIfCmp { .. }
+        | Instr::WhileHead(..)
+        | Instr::LoopCondCmp { .. }
+        | Instr::ForHead(..)
+        | Instr::DoHead { .. }
+        | Instr::LoopCount(..)
+        | Instr::MemoEnter { .. }
+        | Instr::MemoExitNormal(..)
+        | Instr::MemoExitRet(..)
+        | Instr::MemoExitBreak(..)
+        | Instr::ProfileEnter(..)
+        | Instr::ProfileExit(..) => (0, 0),
+        Instr::StoreLocal { keep, .. } => (1, u32::from(*keep)),
+        Instr::IncDecLocal { keep, .. } => (0, u32::from(*keep)),
+        Instr::LoadDupAddr => (1, 2),
+        Instr::AssignOpFin { .. } => (3, 1),
+        Instr::CallFunc(fid) => (module.funcs[*fid as usize].params.len() as u32, 1),
+        Instr::CallBuiltin { nargs, .. } => (*nargs, 1),
+        Instr::CallIndirect(nargs) => (*nargs + 1, 1),
+        Instr::Super2(..) => unreachable!("fused pairs exist only in specialized code"),
+    }
+}
+
+/// Static stack-effect pass over the function whose code starts at
+/// `entry` and runs to the end of `bc.code`: the deepest operand-stack
+/// depth any reachable instruction sees, counted from 0 at entry (a call
+/// moves its arguments into the callee's frame before the callee runs).
+///
+/// Every reachable pc gets exactly one depth. Structured control flow
+/// brings every path into a jump target at the same depth, and every
+/// `Ret` at depth 1; debug builds assert both.
+fn stack_bound(bc: &BcModule<'_>, module: &Module, entry: usize) -> u32 {
+    let code = &bc.code[entry..];
+    let mut depth: Vec<Option<u32>> = vec![None; code.len()];
+    let mut work = vec![(0usize, 0u32)];
+    let mut max = 0;
+    while let Some((at, d)) = work.pop() {
+        if let Some(seen) = depth[at] {
+            debug_assert_eq!(seen, d, "operand depth differs at pc {}", entry + at);
+            continue;
+        }
+        depth[at] = Some(d);
+        max = max.max(d);
+        let instr = &code[at];
+        let (pops, pushes) = stack_effect(instr, module);
+        debug_assert!(d >= pops, "operand stack underflow at pc {}", entry + at);
+        let after = d - pops + pushes;
+        let local = |t: u32| t as usize - entry;
+        match instr {
+            Instr::Ret => debug_assert_eq!(d, 1, "return leaves operands behind"),
+            Instr::Jump(t) => work.push((local(*t), after)),
+            Instr::ShortCircuit { end, .. } => {
+                work.push((local(*end), d));
+                work.push((at + 1, after));
+            }
+            Instr::MemoEnter { id, hit_target } => {
+                let ret = bc.memos[*id as usize].ret.is_some();
+                work.push((local(*hit_target), after + u32::from(ret)));
+                work.push((at + 1, after));
+            }
+            Instr::JumpIfFalse(t)
+            | Instr::JumpIfTrue(t)
+            | Instr::JumpIfFalseCmp { target: t, .. }
+            | Instr::JumpIfTrueCmp { target: t, .. }
+            | Instr::BranchIf { else_target: t, .. }
+            | Instr::BranchIfCmp { else_target: t, .. }
+            | Instr::LoopCond { end: t, .. }
+            | Instr::LoopCondCmp { end: t, .. } => {
+                work.push((local(*t), after));
+                work.push((at + 1, after));
+            }
+            _ => work.push((at + 1, after)),
+        }
+    }
+    max
 }
 
 /// Statically enclosing memo/profile region (for unwind emission).
@@ -1318,6 +1446,22 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), bc.entries.len(), "entries must be distinct");
     }
+
+    #[test]
+    fn stack_bound_counts_arguments_and_results() {
+        let checked = minic::compile(
+            "int f(int a, int b, int c) { return a * b + c; }
+             int main() { int x = 2; return f(x, x + 1, f(1, 2, 3)) + x * 4; }",
+        )
+        .expect("compiles");
+        let module = crate::lower::lower(&checked);
+        let bc = compile(&module, &CostModel::o0());
+        // main: x, (x+1), 1, 2, 3 are live at once before the inner call.
+        assert_eq!(bc.max_stack[module.main as usize], 5);
+        // f: `a * b` fuses to one push, then `c`.
+        let f = (0..module.funcs.len()).find(|&i| i != module.main as usize);
+        assert_eq!(bc.max_stack[f.expect("f")], 2);
+    }
 }
 
 #[cfg(test)]
@@ -1332,5 +1476,13 @@ mod size_probe {
             "Instr grew past 48 bytes: {}",
             std::mem::size_of::<super::Instr>()
         );
+    }
+
+    /// The operand stack and every memory cell are `Value`s: a tag word
+    /// plus one 8-byte payload. A wider `Value` would add a word to every
+    /// push, pop and frame access in the dispatch loop.
+    #[test]
+    fn value_stays_two_words() {
+        assert_eq!(std::mem::size_of::<crate::value::Value>(), 16);
     }
 }

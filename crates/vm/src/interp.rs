@@ -828,31 +828,18 @@ impl<'m> Machine<'m> {
                 &mut self.dep_rt,
             )
         });
-        let prof = self.profiler.as_mut().expect("profiler present");
-        let seg = &mut prof.segs[p.seg as usize];
-        seg.n += 1;
-        if read.is_err() {
-            // A key that cannot be read (an uninitialised local on a path
-            // the body never uses) is counted, not fatal: the probe must
-            // not change what the program does.
-            seg.key_traps += 1;
-        } else {
-            let key = &self.key_arena[ks..];
-            // Box the key only on first occurrence; repeats hit get_mut.
-            if let Some(c) = seg.distinct.get_mut(key) {
-                *c += 1;
-            } else {
-                seg.distinct.insert(key.into(), 1);
-            }
-            // Count this execution under each distinct active ancestor.
-            self.seen_scratch.clear();
-            for &(outer, _) in &self.profile_stack {
-                if outer != p.seg && !self.seen_scratch.contains(&outer) {
-                    self.seen_scratch.push(outer);
-                    *seg.within.entry(outer).or_insert(0) += 1;
-                }
-            }
-        }
+        // A key that cannot be read (an uninitialised local on a path the
+        // body never uses) is counted, not fatal: the probe must not
+        // change what the program does.
+        self.profiler
+            .as_mut()
+            .expect("profiler present")
+            .record_probe(
+                p.seg,
+                read.is_ok().then(|| &self.key_arena[ks..]),
+                self.profile_stack.iter().map(|&(outer, _)| outer),
+                &mut self.seen_scratch,
+            );
         self.key_arena.truncate(ks);
         let entry_cycles = self.cycles;
         self.profile_stack.push((p.seg, entry_cycles));
@@ -1222,7 +1209,7 @@ pub(crate) fn binary_value(op: BinOp, a: Value, b: Value) -> Result<Value, Trap>
         return Ok(Value::Int(i64::from(r)));
     }
     match (a, b) {
-        (Value::Int(x), Value::Int(y)) => int_binary(op, x, y),
+        (Value::Int(x), Value::Int(y)) => int_binary(op, x, y).map(Value::Int),
         _ => {
             let x = a.as_number()?;
             let y = b.as_number()?;
@@ -1231,7 +1218,10 @@ pub(crate) fn binary_value(op: BinOp, a: Value, b: Value) -> Result<Value, Trap>
     }
 }
 
-fn int_binary(op: BinOp, x: i64, y: i64) -> Result<Value, Trap> {
+/// The `Int × Int` case of [`binary_value`] (comparisons yield 0/1),
+/// also inlined into the bytecode dispatch loop.
+#[inline]
+pub(crate) fn int_binary(op: BinOp, x: i64, y: i64) -> Result<i64, Trap> {
     use BinOp::*;
     let v = match op {
         Add => x.wrapping_add(y),
@@ -1262,7 +1252,7 @@ fn int_binary(op: BinOp, x: i64, y: i64) -> Result<Value, Trap> {
         Ne => i64::from(x != y),
         LogAnd | LogOr => unreachable!("lowered to Logic"),
     };
-    Ok(Value::Int(v))
+    Ok(v)
 }
 
 fn float_binary(op: BinOp, x: f64, y: f64) -> Result<Value, Trap> {

@@ -6,6 +6,19 @@
 //! preallocated on the machine, so the memo hit path — including the
 //! bypassed-table forced-miss probe — performs **zero heap allocations**.
 //!
+//! The loop keeps its hot state in locals the compiler can hold in
+//! registers: the program counter, the operand-stack pointer, the frame
+//! base and the cycle counter. The operand stack is a slice indexed by
+//! that pointer; every frame entry sizes it from the callee's static
+//! bound ([`BcModule::max_stack`]), so a push never checks capacity. The
+//! locals are written back to the machine only where out-of-line code
+//! reads them: calls, returns, and memo and profile probes (DESIGN.md
+//! §8d). Rarely executed instructions run out of line in `step_cold`,
+//! which takes and returns that state by value, so the loop stays small
+//! enough for the compiler to keep it in registers. Dispatch-trace
+//! recording is a separate instance of the loop (`exec::<true>`), so the
+//! common run carries no per-dispatch trace test.
+//!
 //! Cycle/energy parity with the tree-walker is a hard contract: every
 //! instruction charges exactly the cost the tree-walker charges at the
 //! corresponding program point, the cycle-budget check runs at the same
@@ -13,12 +26,12 @@
 //! The differential and property tests in `tests/` assert bit-for-bit
 //! equal [`Outcome`]s across engines.
 
-use crate::bytecode::{op_kind, BcModule, Instr};
+use crate::bytecode::{op_kind, BcModule, FastArg, Instr};
 use crate::cost::{cycles_to_seconds, CostModel};
 use crate::deps_rt::DepRuntime;
 use crate::interp::{
-    binary_value, coerce_value, make_profiler, mem_read, mem_write, read_operand_into, unary_value,
-    write_operand_from, Outcome, RunConfig,
+    binary_value, coerce_value, int_binary, make_profiler, mem_read, mem_write, read_operand_into,
+    unary_value, write_operand_from, Outcome, RunConfig,
 };
 use crate::lower::{Module, WriteCost};
 use crate::tables::TableHandles;
@@ -50,6 +63,25 @@ struct Region {
     entry_cycles: u64,
 }
 
+/// How a `MemoEnter` probe resolved.
+enum Probe {
+    /// Run the body.
+    Miss,
+    /// Outputs restored: push the memoized return value, if the segment
+    /// has one, and continue at the hit target.
+    Hit(Option<Value>),
+}
+
+/// The dispatch loop's hot state, handed by value to and from
+/// [`BcMachine::step_cold`].
+#[derive(Debug, Clone, Copy)]
+struct Regs {
+    pc: u32,
+    sp: usize,
+    frame: usize,
+    cycles: u64,
+}
+
 /// Runs a compiled module to completion. Engine-agnostic setup and the
 /// outcome layout match `run_on_current_thread` in `interp` exactly.
 pub(crate) fn run_bc(
@@ -74,6 +106,8 @@ pub(crate) fn run_bc(
         module,
         bc,
         mem,
+        pc: 0,
+        sp: 0,
         frame: 0,
         stack_top: globals_len,
         stack_limit: globals_len + config.stack_cells,
@@ -91,7 +125,7 @@ pub(crate) fn run_bc(
         loop_counts: vec![0; module.loop_origins.len()],
         branch_counts: vec![0; module.branch_origins.len() * 2],
         profiler,
-        stack: Vec::with_capacity(256),
+        stack: Vec::new(),
         frames: Vec::with_capacity(64),
         regions: Vec::with_capacity(16),
         key_arena: Vec::new(),
@@ -107,7 +141,19 @@ pub(crate) fn run_bc(
         parked_trace: None,
     };
 
-    let ret = m.exec()?;
+    m.pc = m.enter_function(module.main, &[], HALT)?;
+    m.stack = grown(Vec::new(), bc.max_stack[module.main as usize] as usize);
+    let halted = if m.trace.is_some() {
+        m.exec::<true>()?
+    } else {
+        None
+    };
+    let ret = match halted {
+        Some(v) => v,
+        None => m
+            .exec::<false>()?
+            .expect("only the recording loop stops early"),
+    };
     let ret = match ret {
         Value::Int(v) => v,
         _ => 0,
@@ -132,10 +178,97 @@ pub(crate) fn run_bc(
     })
 }
 
+/// Grows the operand stack to at least `need` slots (a frame entry
+/// deeper than any before it). Taking and returning the vector by value
+/// keeps the caller's copy unaliased, so its pointer and length can stay
+/// in registers.
+#[cold]
+#[inline(never)]
+fn grown(mut stack: Vec<Value>, need: usize) -> Vec<Value> {
+    let len = need.max(2 * stack.len());
+    stack.resize(len, Value::Uninit);
+    stack
+}
+
+/// [`binary_value`] with the `Int × Int` case inlined. Every other
+/// operand class takes the shared path, so trap kinds and their order
+/// are the tree walker's.
+#[inline(always)]
+fn binary(op: BinOp, x: Value, y: Value) -> Result<Value, Trap> {
+    match (x, y) {
+        (Value::Int(a), Value::Int(b)) => int_binary(op, a, b).map(Value::Int),
+        _ => binary_value(op, x, y),
+    }
+}
+
+/// Truthiness of `op(x, y)` for the compare-and-branch instructions,
+/// with the same `Int × Int` fast path as [`binary`].
+#[inline(always)]
+fn condition(op: BinOp, x: Value, y: Value) -> Result<bool, Trap> {
+    match (x, y) {
+        (Value::Int(a), Value::Int(b)) => int_binary(op, a, b).map(|v| v != 0),
+        _ => binary_value(op, x, y)?.truthy(),
+    }
+}
+
+/// [`Value::truthy`] with the `Int` case tested first. The other kinds
+/// go through a cold call, so the compiler cannot merge them back into a
+/// jump table on the value kind: a condition costs one predictable
+/// branch.
+#[inline(always)]
+fn truthy(v: Value) -> Result<bool, Trap> {
+    match v {
+        Value::Int(x) => Ok(x != 0),
+        _ => truthy_slow(v),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn truthy_slow(v: Value) -> Result<bool, Trap> {
+    v.truthy()
+}
+
+/// Shared `++`/`--` read-modify-write (the `IncDecFin`/`IncDecLocal`
+/// bodies): step the cell at `addr`, store it, and return the old and
+/// new values. The caller charges `int_alu` plus the write; nothing
+/// between the two charges can observe the cycle count.
+#[inline(always)]
+fn inc_dec(
+    mem: &mut [Value],
+    dep_rt: &mut DepRuntime,
+    addr: usize,
+    delta: i64,
+    ptr_stride: Option<i64>,
+) -> Result<(Value, Value), Trap> {
+    let old = mem_read(mem, addr)?;
+    if dep_rt.active() {
+        dep_rt.note_read(addr);
+    }
+    let new = match (old, ptr_stride) {
+        (Value::Int(v), _) => Value::Int(v.wrapping_add(delta)),
+        (Value::Ptr(a), Some(stride)) => {
+            Value::Ptr((a as i64).wrapping_add(delta * stride) as usize)
+        }
+        (Value::Float(v), _) => Value::Float(v + delta as f64),
+        (Value::Uninit, _) => return Err(Trap::UninitRead),
+        (_, _) => return Err(Trap::TypeConfusion("function")),
+    };
+    mem_write(mem, addr, new)?;
+    dep_rt.note_write(addr, new);
+    Ok((old, new))
+}
+
 struct BcMachine<'m, 'b> {
     module: &'m Module,
     bc: &'b BcModule<'m>,
     mem: Vec<Value>,
+    /// Next instruction. Like `sp`, `frame` and `cycles`, the dispatch
+    /// loop keeps its own copy and writes it back only where out-of-line
+    /// code reads it (`exec`).
+    pc: u32,
+    /// Operand-stack pointer: the first free slot of `stack`.
+    sp: usize,
     /// Current frame base (absolute cell index).
     frame: usize,
     stack_top: usize,
@@ -154,7 +287,9 @@ struct BcMachine<'m, 'b> {
     loop_counts: Vec<u64>,
     branch_counts: Vec<u64>,
     profiler: Option<crate::profile::ProfileData>,
-    /// Operand stack.
+    /// Operand stack, at least `sp + max_stack[f]` slots long while
+    /// function `f`'s frame is the innermost. The dispatch loop holds it
+    /// in a local and returns it here when it stops.
     stack: Vec<Value>,
     /// Suspended callers.
     frames: Vec<FrameRec>,
@@ -180,8 +315,8 @@ struct BcMachine<'m, 'b> {
     /// is set (the pipeline's profiling run). Boxed so the common
     /// non-recording machine stays small.
     trace: Option<Box<crate::specialize::DispatchTrace>>,
-    /// A saturated trace, moved out of `trace` so the dispatch loop's
-    /// per-step check goes back to the cheap `None` path.
+    /// A saturated trace, moved out of `trace` when the recording loop
+    /// hands the rest of the run to the non-recording one.
     parked_trace: Option<Box<crate::specialize::DispatchTrace>>,
 }
 
@@ -200,66 +335,11 @@ impl BcMachine<'_, '_> {
         }
     }
 
-    #[inline]
-    fn charge_write(&mut self, c: WriteCost) {
-        match c {
-            WriteCost::Var => self.tick(self.cost.var_access),
-            WriteCost::Mem => self.tick(self.cost.mem_access),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Value {
-        self.stack.pop().expect("operand stack underflow")
-    }
-
-    #[inline]
-    fn fast_arg(&self, a: &crate::bytecode::FastArg) -> Value {
-        match a {
-            crate::bytecode::FastArg::I(v) => Value::Int(*v),
-            crate::bytecode::FastArg::Local(off) => self.mem[self.frame + *off as usize],
-        }
-    }
-
-    /// Shared `++`/`--` read-modify-write (the `IncDecFin`/`IncDecLocal`
-    /// bodies): charge `int_alu`, step, charge the write, push old/new
-    /// (elided when `keep` is false — value-discarding position).
-    fn inc_dec(
-        &mut self,
-        addr: usize,
-        delta: i64,
-        post: bool,
-        ptr_stride: Option<i64>,
-        write_cost: WriteCost,
-        keep: bool,
-    ) -> Result<(), Trap> {
-        let old = mem_read(&self.mem, addr)?;
-        if self.dep_rt.active() {
-            self.dep_rt.note_read(addr);
-        }
-        self.tick(self.cost.int_alu);
-        let new = match (old, ptr_stride) {
-            (Value::Ptr(a), Some(stride)) => {
-                Value::Ptr((a as i64).wrapping_add(delta * stride) as usize)
-            }
-            (Value::Int(v), _) => Value::Int(v.wrapping_add(delta)),
-            (Value::Float(v), _) => Value::Float(v + delta as f64),
-            (Value::Uninit, _) => return Err(Trap::UninitRead),
-            (_, _) => return Err(Trap::TypeConfusion("function")),
-        };
-        self.charge_write(write_cost);
-        mem_write(&mut self.mem, addr, new)?;
-        self.dep_rt.note_write(addr, new);
-        if keep {
-            self.stack.push(if post { old } else { new });
-        }
-        Ok(())
-    }
-
-    /// Pushes a frame for `fid` (whose arguments are the top `nargs`
-    /// operands) and returns its entry pc. Check/charge order matches the
-    /// tree-walker's `call` exactly.
-    fn enter_function(&mut self, fid: u32, nargs: usize, ret_pc: u32) -> Result<u32, Trap> {
+    /// Pushes a frame for `fid`, moving `args` (the caller's top
+    /// operands, already popped) into it, and returns its entry pc. The
+    /// caller reserves the callee's operand slots. Check/charge order
+    /// matches the tree-walker's `call` exactly.
+    fn enter_function(&mut self, fid: u32, args: &[Value], ret_pc: u32) -> Result<u32, Trap> {
         self.check_budget()?;
         if self.depth >= self.max_depth {
             return Err(Trap::StackOverflow);
@@ -280,7 +360,7 @@ impl BcMachine<'_, '_> {
         } else {
             self.mem[new_base..new_top].fill(Value::Uninit);
         }
-        debug_assert_eq!(nargs, func.params.len(), "arity checked by sema");
+        debug_assert_eq!(args.len(), func.params.len(), "arity checked by sema");
         self.frames.push(FrameRec {
             ret_pc,
             frame: self.frame,
@@ -288,88 +368,157 @@ impl BcMachine<'_, '_> {
         });
         self.frame = new_base;
         self.stack_top = new_top;
-        let argbase = self.stack.len() - nargs;
-        for (i, &(off, coerce)) in func.params.iter().enumerate() {
-            let v = coerce_value(self.stack[argbase + i], coerce)?;
-            self.mem[new_base + off as usize] = v;
+        for (&v, &(off, coerce)) in args.iter().zip(&func.params) {
+            self.mem[new_base + off as usize] = coerce_value(v, coerce)?;
         }
-        self.stack.truncate(argbase);
         Ok(self.bc.entries[fid as usize])
     }
 
-    fn exec(&mut self) -> Result<Value, Trap> {
-        let code: &[Instr] = &self.bc.code;
-        let mut pc = self.enter_function(self.module.main, 0, HALT)?;
+    /// Runs the dispatch loop from the machine's `pc`/`sp`/`frame`/
+    /// `cycles` until `main` returns its value. The recording instance
+    /// (`TRACE`) steps the dispatch trace before each instruction; once
+    /// the trace saturates it parks it, writes the state back, and
+    /// returns `Ok(None)` before executing the current instruction, so
+    /// the non-recording instance picks up exactly there.
+    fn exec<const TRACE: bool>(&mut self) -> Result<Option<Value>, Trap> {
+        let bc = self.bc;
+        let code: &[Instr] = &bc.code;
+        let cost = self.cost.clone();
+        let max_cycles = self.max_cycles;
+        let mut stack = std::mem::take(&mut self.stack);
+        let mut pc = self.pc;
+        let mut sp = self.sp;
+        let mut frame = self.frame;
+        let mut cycles = self.cycles;
+
+        macro_rules! push {
+            ($v:expr) => {{
+                let v = $v;
+                stack[sp] = v;
+                sp += 1;
+            }};
+        }
+        macro_rules! pop {
+            () => {{
+                sp -= 1;
+                stack[sp]
+            }};
+        }
+        macro_rules! arg {
+            ($a:expr) => {
+                match $a {
+                    FastArg::I(v) => Value::Int(*v),
+                    FastArg::Local(off) => self.mem[frame + *off as usize],
+                }
+            };
+        }
+        macro_rules! write_charge {
+            ($c:expr) => {
+                match $c {
+                    WriteCost::Var => cost.var_access,
+                    WriteCost::Mem => cost.mem_access,
+                }
+            };
+        }
+        macro_rules! check_budget {
+            () => {
+                if cycles > max_cycles {
+                    return Err(Trap::CycleLimit);
+                }
+            };
+        }
+        // Writes the locals out-of-line code reads back to the machine.
+        macro_rules! sync_out {
+            () => {
+                self.frame = frame;
+                self.cycles = cycles;
+            };
+        }
+        // Evaluates a machine method between a write-back and a reload of
+        // the locals it may read or advance.
+        macro_rules! out_of_line {
+            ($e:expr) => {{
+                sync_out!();
+                let r = $e;
+                frame = self.frame;
+                cycles = self.cycles;
+                r
+            }};
+        }
+        // A call: move the top `n` operands into `fid`'s new frame and
+        // reserve the callee's operand slots above them.
+        macro_rules! call {
+            ($fid:expr, $n:expr) => {{
+                let (fid, n) = ($fid, $n);
+                sp -= n;
+                pc = out_of_line!(self.enter_function(fid, &stack[sp..sp + n], pc + 1))?;
+                let need = sp + bc.max_stack[fid as usize] as usize;
+                if need > stack.len() {
+                    stack = grown(stack, need);
+                }
+            }};
+        }
+
         loop {
             let instr = &code[pc as usize];
-            if let Some(t) = self.trace.as_deref_mut() {
+            if TRACE {
+                let t = self
+                    .trace
+                    .as_deref_mut()
+                    .expect("recording loop runs with a trace");
                 // Profile probes are invisible to the trace, so a profiling
                 // run mines the same pairs as the uninstrumented program.
                 if !matches!(instr, Instr::ProfileEnter(_) | Instr::ProfileExit(_)) {
                     t.step(op_kind(instr));
                 }
                 if t.saturated() {
-                    // Budget spent: park the recorder so the rest of the
-                    // run pays only the `None` check every engine pays.
+                    // Budget spent: the rest of the run goes to the
+                    // non-recording loop, starting with this instruction.
                     self.parked_trace = self.trace.take();
+                    sync_out!();
+                    self.pc = pc;
+                    self.sp = sp;
+                    self.stack = stack;
+                    return Ok(None);
                 }
             }
             match instr {
                 Instr::PushI(v) => {
-                    self.stack.push(Value::Int(*v));
+                    push!(Value::Int(*v));
                     pc += 1;
                 }
                 Instr::PushF(v) => {
-                    self.stack.push(Value::Float(*v));
-                    pc += 1;
-                }
-                Instr::PushFn(f) => {
-                    self.stack.push(Value::Func(*f));
-                    pc += 1;
-                }
-                Instr::PushUninit => {
-                    self.stack.push(Value::Uninit);
+                    push!(Value::Float(*v));
                     pc += 1;
                 }
                 Instr::Pop => {
-                    self.pop();
+                    sp -= 1;
                     pc += 1;
                 }
                 Instr::ReadLocal(off) => {
-                    self.tick(self.cost.var_access);
-                    let v = self.mem[self.frame + *off as usize];
-                    self.stack.push(v);
+                    cycles += cost.var_access;
+                    push!(self.mem[frame + *off as usize]);
                     pc += 1;
                 }
                 Instr::ReadGlobal(a) => {
-                    self.tick(self.cost.mem_access);
+                    cycles += cost.mem_access;
                     let v = self.mem[*a as usize];
                     if self.dep_rt.active() {
                         self.dep_rt.note_read(*a as usize);
                     }
-                    self.stack.push(v);
+                    push!(v);
                     pc += 1;
                 }
-                Instr::ReadMem => {
-                    let a = self.pop().as_ptr()?;
-                    self.tick(self.cost.mem_access);
-                    let v = mem_read(&self.mem, a)?;
-                    if self.dep_rt.active() {
-                        self.dep_rt.note_read(a);
-                    }
-                    self.stack.push(v);
-                    pc += 1;
-                }
-                Instr::PtrAddRead { stride, cost } => {
-                    let i = self.pop().as_int()?;
-                    let b = self.pop().as_ptr()?;
-                    self.tick(u64::from(*cost));
+                Instr::PtrAddRead { stride, cost: c } => {
+                    let i = pop!().as_int()?;
+                    let b = pop!().as_ptr()?;
+                    cycles += u64::from(*c);
                     let addr = (b as i64).wrapping_add(i.wrapping_mul(*stride)) as usize;
                     let v = mem_read(&self.mem, addr)?;
                     if self.dep_rt.active() {
                         self.dep_rt.note_read(addr);
                     }
-                    self.stack.push(v);
+                    push!(v);
                     pc += 1;
                 }
                 Instr::ReadIdx {
@@ -380,143 +529,91 @@ impl BcMachine<'_, '_> {
                     pre_cost,
                     post_cost,
                 } => {
-                    let iv = self.fast_arg(idx);
-                    self.tick(u64::from(*pre_cost));
+                    let iv = arg!(idx);
+                    cycles += u64::from(*pre_cost);
                     let i = iv.as_int()?;
-                    self.tick(u64::from(*post_cost));
+                    cycles += u64::from(*post_cost);
                     let b = if *global {
                         *base as usize
                     } else {
-                        self.frame + *base as usize
+                        frame + *base as usize
                     };
                     let addr = (b as i64).wrapping_add(i.wrapping_mul(*stride)) as usize;
                     let v = mem_read(&self.mem, addr)?;
                     if self.dep_rt.active() {
                         self.dep_rt.note_read(addr);
                     }
-                    self.stack.push(v);
+                    push!(v);
                     pc += 1;
                 }
                 Instr::AddrLocal(off) => {
-                    self.stack.push(Value::Ptr(self.frame + *off as usize));
+                    push!(Value::Ptr(frame + *off as usize));
                     pc += 1;
                 }
                 Instr::AddrGlobal(a) => {
-                    self.stack.push(Value::Ptr(*a as usize));
+                    push!(Value::Ptr(*a as usize));
                     pc += 1;
                 }
                 Instr::CheckPtr => {
-                    let a = self.pop().as_ptr()?;
-                    self.stack.push(Value::Ptr(a));
+                    let a = stack[sp - 1].as_ptr()?;
+                    stack[sp - 1] = Value::Ptr(a);
                     pc += 1;
                 }
                 Instr::PtrAdd(stride) => {
-                    let i = self.pop().as_int()?;
-                    let b = self.pop().as_ptr()?;
-                    self.tick(self.cost.int_alu);
+                    let i = pop!().as_int()?;
+                    let b = pop!().as_ptr()?;
+                    cycles += cost.int_alu;
                     let delta = i.wrapping_mul(*stride);
-                    self.stack
-                        .push(Value::Ptr((b as i64).wrapping_add(delta) as usize));
-                    pc += 1;
-                }
-                Instr::PtrDiff(stride) => {
-                    let y = self.pop().as_ptr()? as i64;
-                    let x = self.pop().as_ptr()? as i64;
-                    self.tick(self.cost.int_alu);
-                    self.stack.push(Value::Int((x - y) / *stride));
-                    pc += 1;
-                }
-                Instr::Unary(op, c) => {
-                    let v = self.pop();
-                    self.tick(*c);
-                    self.stack.push(unary_value(*op, v)?);
+                    push!(Value::Ptr((b as i64).wrapping_add(delta) as usize));
                     pc += 1;
                 }
                 Instr::Binary(op, c) => {
-                    let y = self.pop();
-                    let x = self.pop();
-                    self.tick(*c);
-                    self.stack.push(binary_value(*op, x, y)?);
+                    let y = pop!();
+                    let x = stack[sp - 1];
+                    cycles += *c;
+                    stack[sp - 1] = binary(*op, x, y)?;
                     pc += 1;
                 }
-                Instr::BinaryFast { op, a, b, cost } => {
-                    let x = self.fast_arg(a);
-                    let y = self.fast_arg(b);
-                    self.tick(*cost);
-                    self.stack.push(binary_value(*op, x, y)?);
-                    pc += 1;
-                }
-                Instr::Truthy => {
-                    let v = self.pop().truthy()?;
-                    self.stack.push(Value::Int(i64::from(v)));
+                Instr::BinaryFast { op, a, b, cost: c } => {
+                    let x = arg!(a);
+                    let y = arg!(b);
+                    cycles += *c;
+                    push!(binary(*op, x, y)?);
                     pc += 1;
                 }
                 Instr::Tick(n) => {
-                    self.tick(*n);
+                    cycles += *n;
                     pc += 1;
-                }
-                Instr::ShortCircuit { and, end } => {
-                    let x = self.pop().truthy()?;
-                    let decided = if *and { !x } else { x };
-                    if decided {
-                        self.stack.push(Value::Int(i64::from(x)));
-                        pc = *end;
-                    } else {
-                        pc += 1;
-                    }
                 }
                 Instr::Jump(t) => pc = *t,
                 Instr::JumpIfFalse(t) => {
-                    if self.pop().truthy()? {
+                    if truthy(pop!())? {
                         pc += 1;
                     } else {
                         pc = *t;
-                    }
-                }
-                Instr::JumpIfTrue(t) => {
-                    if self.pop().truthy()? {
-                        pc = *t;
-                    } else {
-                        pc += 1;
                     }
                 }
                 Instr::JumpIfFalseCmp {
                     op,
                     a,
                     b,
-                    cost,
+                    cost: c,
                     target,
                 } => {
-                    let x = self.fast_arg(a);
-                    let y = self.fast_arg(b);
-                    self.tick(u64::from(*cost));
-                    if binary_value(*op, x, y)?.truthy()? {
+                    let x = arg!(a);
+                    let y = arg!(b);
+                    cycles += u64::from(*c);
+                    if condition(*op, x, y)? {
                         pc += 1;
                     } else {
                         pc = *target;
-                    }
-                }
-                Instr::JumpIfTrueCmp {
-                    op,
-                    a,
-                    b,
-                    cost,
-                    target,
-                } => {
-                    let x = self.fast_arg(a);
-                    let y = self.fast_arg(b);
-                    self.tick(u64::from(*cost));
-                    if binary_value(*op, x, y)?.truthy()? {
-                        pc = *target;
-                    } else {
-                        pc += 1;
                     }
                 }
                 Instr::BranchIf {
                     branch_idx,
                     else_target,
                 } => {
-                    let taken = self.pop().truthy()?;
+                    let taken = truthy(pop!())?;
                     let slot = (*branch_idx as usize) * 2 + usize::from(!taken);
                     self.branch_counts[slot] += 1;
                     if taken {
@@ -529,14 +626,14 @@ impl BcMachine<'_, '_> {
                     op,
                     a,
                     b,
-                    cost,
+                    cost: c,
                     branch_idx,
                     else_target,
                 } => {
-                    let x = self.fast_arg(a);
-                    let y = self.fast_arg(b);
-                    self.tick(u64::from(*cost));
-                    let taken = binary_value(*op, x, y)?.truthy()?;
+                    let x = arg!(a);
+                    let y = arg!(b);
+                    cycles += u64::from(*c);
+                    let taken = condition(*op, x, y)?;
                     let slot = (*branch_idx as usize) * 2 + usize::from(!taken);
                     self.branch_counts[slot] += 1;
                     if taken {
@@ -546,12 +643,12 @@ impl BcMachine<'_, '_> {
                     }
                 }
                 Instr::WhileHead(c) => {
-                    self.check_budget()?;
-                    self.tick(*c);
+                    check_budget!();
+                    cycles += *c;
                     pc += 1;
                 }
                 Instr::LoopCond { loop_idx, end } => {
-                    if self.pop().truthy()? {
+                    if truthy(pop!())? {
                         self.loop_counts[*loop_idx as usize] += 1;
                         pc += 1;
                     } else {
@@ -562,14 +659,14 @@ impl BcMachine<'_, '_> {
                     op,
                     a,
                     b,
-                    cost,
+                    cost: c,
                     loop_idx,
                     end,
                 } => {
-                    let x = self.fast_arg(a);
-                    let y = self.fast_arg(b);
-                    self.tick(u64::from(*cost));
-                    if binary_value(*op, x, y)?.truthy()? {
+                    let x = arg!(a);
+                    let y = arg!(b);
+                    cycles += u64::from(*c);
+                    if condition(*op, x, y)? {
                         self.loop_counts[*loop_idx as usize] += 1;
                         pc += 1;
                     } else {
@@ -577,14 +674,8 @@ impl BcMachine<'_, '_> {
                     }
                 }
                 Instr::ForHead(c) => {
-                    self.check_budget()?;
-                    self.tick(*c);
-                    pc += 1;
-                }
-                Instr::DoHead { loop_idx, cost } => {
-                    self.check_budget()?;
-                    self.loop_counts[*loop_idx as usize] += 1;
-                    self.tick(*cost);
+                    check_budget!();
+                    cycles += *c;
                     pc += 1;
                 }
                 Instr::LoopCount(loop_idx) => {
@@ -592,20 +683,9 @@ impl BcMachine<'_, '_> {
                     pc += 1;
                 }
                 Instr::DeclStore { slot, coerce } => {
-                    let v = coerce_value(self.pop(), *coerce)?;
-                    self.tick(self.cost.var_access);
-                    let addr = self.frame + *slot as usize;
-                    self.mem[addr] = v;
-                    pc += 1;
-                }
-                Instr::Store { coerce, write_cost } => {
-                    let v = self.pop();
-                    let addr = self.pop().as_ptr()?;
-                    let v = coerce_value(v, *coerce)?;
-                    self.charge_write(*write_cost);
-                    mem_write(&mut self.mem, addr, v)?;
-                    self.dep_rt.note_write(addr, v);
-                    self.stack.push(v);
+                    let v = coerce_value(pop!(), *coerce)?;
+                    cycles += cost.var_access;
+                    self.mem[frame + *slot as usize] = v;
                     pc += 1;
                 }
                 Instr::StoreLocal {
@@ -614,58 +694,12 @@ impl BcMachine<'_, '_> {
                     write_cost,
                     keep,
                 } => {
-                    let v = coerce_value(self.pop(), *coerce)?;
-                    self.charge_write(*write_cost);
-                    mem_write(&mut self.mem, self.frame + *slot as usize, v)?;
+                    let v = coerce_value(pop!(), *coerce)?;
+                    cycles += write_charge!(write_cost);
+                    mem_write(&mut self.mem, frame + *slot as usize, v)?;
                     if *keep {
-                        self.stack.push(v);
+                        push!(v);
                     }
-                    pc += 1;
-                }
-                Instr::LoadDupAddr => {
-                    let addr = self.pop().as_ptr()?;
-                    let old = mem_read(&self.mem, addr)?;
-                    if self.dep_rt.active() {
-                        self.dep_rt.note_read(addr);
-                    }
-                    self.stack.push(Value::Ptr(addr));
-                    self.stack.push(old);
-                    pc += 1;
-                }
-                Instr::AssignOpFin {
-                    op,
-                    cost,
-                    coerce,
-                    ptr_stride,
-                    write_cost,
-                } => {
-                    let rhs = self.pop();
-                    let old = self.pop();
-                    let addr = self.pop().as_ptr()?;
-                    self.tick(*cost);
-                    let new = match ptr_stride {
-                        Some(stride) => {
-                            let base = old.as_ptr()? as i64;
-                            let step = rhs.as_int()?.wrapping_mul(*stride);
-                            let delta = if *op == BinOp::Sub { -step } else { step };
-                            Value::Ptr(base.wrapping_add(delta) as usize)
-                        }
-                        None => coerce_value(binary_value(*op, old, rhs)?, *coerce)?,
-                    };
-                    self.charge_write(*write_cost);
-                    mem_write(&mut self.mem, addr, new)?;
-                    self.dep_rt.note_write(addr, new);
-                    self.stack.push(new);
-                    pc += 1;
-                }
-                Instr::IncDecFin {
-                    delta,
-                    post,
-                    ptr_stride,
-                    write_cost,
-                } => {
-                    let addr = self.pop().as_ptr()?;
-                    self.inc_dec(addr, *delta, *post, *ptr_stride, *write_cost, true)?;
                     pc += 1;
                 }
                 Instr::IncDecLocal {
@@ -676,125 +710,348 @@ impl BcMachine<'_, '_> {
                     write_cost,
                     keep,
                 } => {
-                    let addr = self.frame + *slot as usize;
-                    self.inc_dec(addr, *delta, *post, *ptr_stride, *write_cost, *keep)?;
+                    let addr = frame + *slot as usize;
+                    let (old, new) =
+                        inc_dec(&mut self.mem, &mut self.dep_rt, addr, *delta, *ptr_stride)?;
+                    cycles += cost.int_alu + write_charge!(write_cost);
+                    if *keep {
+                        push!(if *post { old } else { new });
+                    }
                     pc += 1;
                 }
                 Instr::CoerceVal(c) => {
-                    let v = coerce_value(self.pop(), *c)?;
-                    self.stack.push(v);
+                    stack[sp - 1] = coerce_value(stack[sp - 1], *c)?;
                     pc += 1;
                 }
                 Instr::CallFunc(fid) => {
-                    let nargs = self.module.funcs[*fid as usize].params.len();
-                    pc = self.enter_function(*fid, nargs, pc + 1)?;
+                    call!(*fid, self.module.funcs[*fid as usize].params.len());
                 }
-                Instr::CallBuiltin { builtin, nargs } => {
-                    self.tick(self.cost.builtin);
-                    let base = self.stack.len() - *nargs as usize;
-                    let result = match builtin {
-                        Builtin::Print => {
-                            let v = match self.stack[base] {
-                                Value::Int(v) => PrintVal::Int(v),
-                                Value::Float(v) => PrintVal::Float(v),
-                                Value::Uninit => return Err(Trap::UninitRead),
-                                _ => return Err(Trap::TypeConfusion("pointer")),
-                            };
-                            self.output.push(v);
-                            Value::Uninit
-                        }
-                        Builtin::Input => {
-                            let v = self.input.get(self.input_pos).copied().unwrap_or(0);
-                            self.input_pos += 1;
-                            Value::Int(v)
-                        }
-                        Builtin::Eof => Value::Int(i64::from(self.input_pos >= self.input.len())),
-                        Builtin::Assert => {
-                            if self.stack[base].truthy()? {
-                                Value::Uninit
-                            } else {
-                                return Err(Trap::AssertFailed);
-                            }
-                        }
-                    };
-                    self.stack.truncate(base);
-                    self.stack.push(result);
-                    pc += 1;
-                }
-                Instr::CallIndirect(nargs) => match self.pop() {
-                    Value::Func(fid) => {
-                        pc = self.enter_function(fid, *nargs as usize, pc + 1)?;
-                    }
+                Instr::CallIndirect(nargs) => match pop!() {
+                    Value::Func(fid) => call!(fid, *nargs as usize),
                     Value::Uninit => return Err(Trap::UninitRead),
                     _ => return Err(Trap::NotAFunction),
                 },
-                Instr::CastInt => {
-                    let v = self.pop();
-                    self.tick(self.cost.int_alu);
-                    let v = match v {
-                        Value::Int(x) => Value::Int(x),
-                        Value::Float(x) => Value::Int(x as i64),
-                        Value::Ptr(a) => Value::Int(a as i64),
-                        Value::Uninit => return Err(Trap::UninitRead),
-                        Value::Func(_) => return Err(Trap::TypeConfusion("function")),
-                    };
-                    self.stack.push(v);
-                    pc += 1;
-                }
-                Instr::CastFloat => {
-                    let v = self.pop();
-                    self.tick(self.cost.float_alu);
-                    let v = match v {
-                        Value::Int(x) => Value::Float(x as f64),
-                        Value::Float(x) => Value::Float(x),
-                        Value::Uninit => return Err(Trap::UninitRead),
-                        _ => return Err(Trap::TypeConfusion("pointer")),
-                    };
-                    self.stack.push(v);
-                    pc += 1;
-                }
                 Instr::Ret => {
-                    let v = self.pop();
+                    // The return value stays where it is: the slot just
+                    // above the caller's operands, as the call's result.
                     let fr = self.frames.pop().expect("call frame");
-                    self.frame = fr.frame;
+                    frame = fr.frame;
                     self.stack_top = fr.stack_top;
                     self.depth -= 1;
                     if fr.ret_pc == HALT {
-                        return Ok(v);
+                        sync_out!();
+                        return Ok(Some(stack[sp - 1]));
                     }
-                    self.stack.push(v);
                     pc = fr.ret_pc;
                 }
-                Instr::MemoEnter { id, hit_target } => {
-                    pc = self.memo_enter(*id, *hit_target, pc)?;
-                }
-                Instr::MemoExitNormal(id) => {
-                    self.memo_exit_normal(*id)?;
-                    pc += 1;
-                }
-                Instr::MemoExitRet(id) => {
-                    self.memo_exit_ret(*id)?;
-                    pc += 1;
-                }
-                Instr::MemoExitBreak(id) => {
-                    self.memo_exit_break(*id)?;
-                    pc += 1;
-                }
-                Instr::ProfileEnter(id) => {
-                    self.profile_enter(*id);
-                    pc += 1;
-                }
-                Instr::ProfileExit(id) => {
-                    self.profile_exit(*id);
-                    pc += 1;
-                }
-                // The generic compiler never emits specialized opcodes;
-                // they exist only in plan-built `SpecCode`.
-                Instr::Super2(_) | Instr::PushKnown { .. } => {
-                    unreachable!("specialized opcode in generic bytecode")
+                _ => {
+                    let r = self.step_cold(
+                        instr,
+                        &mut stack,
+                        Regs {
+                            pc,
+                            sp,
+                            frame,
+                            cycles,
+                        },
+                    )?;
+                    (pc, sp, frame, cycles) = (r.pc, r.sp, r.frame, r.cycles);
                 }
             }
         }
+    }
+
+    /// The rarely executed instructions, out of line so that the loop in
+    /// [`BcMachine::exec`] stays small enough to keep its state in
+    /// registers. The state comes in and goes back by value; the operand
+    /// stack is the loop's, already sized for the current frame.
+    #[inline(never)]
+    fn step_cold(&mut self, instr: &Instr, stack: &mut [Value], regs: Regs) -> Result<Regs, Trap> {
+        let Regs {
+            mut pc,
+            mut sp,
+            mut frame,
+            mut cycles,
+        } = regs;
+        let cost = &self.cost;
+        macro_rules! arg {
+            ($a:expr) => {
+                match $a {
+                    FastArg::I(v) => Value::Int(*v),
+                    FastArg::Local(off) => self.mem[frame + *off as usize],
+                }
+            };
+        }
+        macro_rules! push {
+            ($v:expr) => {{
+                let v = $v;
+                stack[sp] = v;
+                sp += 1;
+            }};
+        }
+        macro_rules! pop {
+            () => {{
+                sp -= 1;
+                stack[sp]
+            }};
+        }
+        macro_rules! write_charge {
+            ($c:expr) => {
+                match $c {
+                    WriteCost::Var => cost.var_access,
+                    WriteCost::Mem => cost.mem_access,
+                }
+            };
+        }
+        macro_rules! check_budget {
+            () => {
+                if cycles > self.max_cycles {
+                    return Err(Trap::CycleLimit);
+                }
+            };
+        }
+        macro_rules! out_of_line {
+            ($e:expr) => {{
+                self.frame = frame;
+                self.cycles = cycles;
+                let r = $e;
+                frame = self.frame;
+                cycles = self.cycles;
+                r
+            }};
+        }
+        match instr {
+            Instr::PushFn(f) => {
+                push!(Value::Func(*f));
+                pc += 1;
+            }
+            Instr::PushUninit => {
+                push!(Value::Uninit);
+                pc += 1;
+            }
+            Instr::ReadMem => {
+                let a = pop!().as_ptr()?;
+                cycles += cost.mem_access;
+                let v = mem_read(&self.mem, a)?;
+                if self.dep_rt.active() {
+                    self.dep_rt.note_read(a);
+                }
+                push!(v);
+                pc += 1;
+            }
+            Instr::PtrDiff(stride) => {
+                let y = pop!().as_ptr()? as i64;
+                let x = pop!().as_ptr()? as i64;
+                cycles += cost.int_alu;
+                push!(Value::Int((x - y) / *stride));
+                pc += 1;
+            }
+            Instr::Unary(op, c) => {
+                let v = stack[sp - 1];
+                cycles += *c;
+                stack[sp - 1] = unary_value(*op, v)?;
+                pc += 1;
+            }
+            Instr::Truthy => {
+                let v = truthy(stack[sp - 1])?;
+                stack[sp - 1] = Value::Int(i64::from(v));
+                pc += 1;
+            }
+            Instr::ShortCircuit { and, end } => {
+                let x = truthy(pop!())?;
+                let decided = if *and { !x } else { x };
+                if decided {
+                    push!(Value::Int(i64::from(x)));
+                    pc = *end;
+                } else {
+                    pc += 1;
+                }
+            }
+            Instr::JumpIfTrue(t) => {
+                if truthy(pop!())? {
+                    pc = *t;
+                } else {
+                    pc += 1;
+                }
+            }
+            Instr::JumpIfTrueCmp {
+                op,
+                a,
+                b,
+                cost: c,
+                target,
+            } => {
+                let x = arg!(a);
+                let y = arg!(b);
+                cycles += u64::from(*c);
+                if condition(*op, x, y)? {
+                    pc = *target;
+                } else {
+                    pc += 1;
+                }
+            }
+            Instr::DoHead { loop_idx, cost: c } => {
+                check_budget!();
+                self.loop_counts[*loop_idx as usize] += 1;
+                cycles += *c;
+                pc += 1;
+            }
+            Instr::Store { coerce, write_cost } => {
+                let v = pop!();
+                let addr = stack[sp - 1].as_ptr()?;
+                let v = coerce_value(v, *coerce)?;
+                cycles += write_charge!(write_cost);
+                mem_write(&mut self.mem, addr, v)?;
+                self.dep_rt.note_write(addr, v);
+                stack[sp - 1] = v;
+                pc += 1;
+            }
+            Instr::LoadDupAddr => {
+                let addr = stack[sp - 1].as_ptr()?;
+                let old = mem_read(&self.mem, addr)?;
+                if self.dep_rt.active() {
+                    self.dep_rt.note_read(addr);
+                }
+                stack[sp - 1] = Value::Ptr(addr);
+                push!(old);
+                pc += 1;
+            }
+            Instr::AssignOpFin {
+                op,
+                cost: c,
+                coerce,
+                ptr_stride,
+                write_cost,
+            } => {
+                let rhs = pop!();
+                let old = pop!();
+                let addr = pop!().as_ptr()?;
+                cycles += *c;
+                let new = match ptr_stride {
+                    Some(stride) => {
+                        let base = old.as_ptr()? as i64;
+                        let step = rhs.as_int()?.wrapping_mul(*stride);
+                        let delta = if *op == BinOp::Sub { -step } else { step };
+                        Value::Ptr(base.wrapping_add(delta) as usize)
+                    }
+                    None => coerce_value(binary(*op, old, rhs)?, *coerce)?,
+                };
+                cycles += write_charge!(write_cost);
+                mem_write(&mut self.mem, addr, new)?;
+                self.dep_rt.note_write(addr, new);
+                push!(new);
+                pc += 1;
+            }
+            Instr::IncDecFin {
+                delta,
+                post,
+                ptr_stride,
+                write_cost,
+            } => {
+                let addr = pop!().as_ptr()?;
+                let (old, new) =
+                    inc_dec(&mut self.mem, &mut self.dep_rt, addr, *delta, *ptr_stride)?;
+                cycles += cost.int_alu + write_charge!(write_cost);
+                push!(if *post { old } else { new });
+                pc += 1;
+            }
+            Instr::CallBuiltin { builtin, nargs } => {
+                cycles += cost.builtin;
+                let base = sp - *nargs as usize;
+                let result = match builtin {
+                    Builtin::Print => {
+                        let v = match stack[base] {
+                            Value::Int(v) => PrintVal::Int(v),
+                            Value::Float(v) => PrintVal::Float(v),
+                            Value::Uninit => return Err(Trap::UninitRead),
+                            _ => return Err(Trap::TypeConfusion("pointer")),
+                        };
+                        self.output.push(v);
+                        Value::Uninit
+                    }
+                    Builtin::Input => {
+                        let v = self.input.get(self.input_pos).copied().unwrap_or(0);
+                        self.input_pos += 1;
+                        Value::Int(v)
+                    }
+                    Builtin::Eof => Value::Int(i64::from(self.input_pos >= self.input.len())),
+                    Builtin::Assert => {
+                        if stack[base].truthy()? {
+                            Value::Uninit
+                        } else {
+                            return Err(Trap::AssertFailed);
+                        }
+                    }
+                };
+                sp = base;
+                push!(result);
+                pc += 1;
+            }
+            Instr::CastInt => {
+                let v = stack[sp - 1];
+                cycles += cost.int_alu;
+                stack[sp - 1] = match v {
+                    Value::Int(x) => Value::Int(x),
+                    Value::Float(x) => Value::Int(x as i64),
+                    Value::Ptr(a) => Value::Int(a as i64),
+                    Value::Uninit => return Err(Trap::UninitRead),
+                    Value::Func(_) => return Err(Trap::TypeConfusion("function")),
+                };
+                pc += 1;
+            }
+            Instr::CastFloat => {
+                let v = stack[sp - 1];
+                cycles += cost.float_alu;
+                stack[sp - 1] = match v {
+                    Value::Int(x) => Value::Float(x as f64),
+                    Value::Float(x) => Value::Float(x),
+                    Value::Uninit => return Err(Trap::UninitRead),
+                    _ => return Err(Trap::TypeConfusion("pointer")),
+                };
+                pc += 1;
+            }
+            Instr::MemoEnter { id, hit_target } => match out_of_line!(self.memo_enter(*id))? {
+                Probe::Miss => pc += 1,
+                Probe::Hit(ret) => {
+                    if let Some(v) = ret {
+                        push!(v);
+                    }
+                    pc = *hit_target;
+                }
+            },
+            Instr::MemoExitNormal(id) => {
+                out_of_line!(self.memo_exit_normal(*id))?;
+                pc += 1;
+            }
+            Instr::MemoExitRet(id) => {
+                out_of_line!(self.memo_exit_ret(*id, stack[sp - 1]))?;
+                pc += 1;
+            }
+            Instr::MemoExitBreak(id) => {
+                out_of_line!(self.memo_exit_break(*id))?;
+                pc += 1;
+            }
+            Instr::ProfileEnter(id) => {
+                out_of_line!(self.profile_enter(*id));
+                pc += 1;
+            }
+            Instr::ProfileExit(id) => {
+                self.profile_exit(*id, cycles);
+                pc += 1;
+            }
+            // The generic compiler never emits specialized opcodes;
+            // they exist only in plan-built `SpecCode`.
+            Instr::Super2(_) | Instr::PushKnown { .. } => {
+                unreachable!("specialized opcode in generic bytecode")
+            }
+            _ => unreachable!("hot instruction in step_cold"),
+        }
+        Ok(Regs {
+            pc,
+            sp,
+            frame,
+            cycles,
+        })
     }
 
     // ------------------------------------------------------------------
@@ -802,8 +1059,7 @@ impl BcMachine<'_, '_> {
     // ------------------------------------------------------------------
 
     /// Memo segment entry: mirrors `exec_memo` up to the hit/miss fork.
-    /// Returns the next pc (`hit_target` on a hit, fall-through else).
-    fn memo_enter(&mut self, id: u32, hit_target: u32, pc: u32) -> Result<u32, Trap> {
+    fn memo_enter(&mut self, id: u32) -> Result<Probe, Trap> {
         let m = self.bc.memos[id as usize];
         // Bypassed table: pay only the guard branch, run the body with an
         // unarmed region; the forced-miss probe advances the epoch clock.
@@ -826,7 +1082,7 @@ impl BcMachine<'_, '_> {
                 key_start: self.key_arena.len() as u32,
                 entry_cycles: 0,
             });
-            return Ok(pc + 1);
+            return Ok(Probe::Miss);
         }
 
         let ks = self.key_arena.len();
@@ -885,15 +1141,15 @@ impl BcMachine<'_, '_> {
                 )?;
                 pos += n;
             }
-            if let Some(is_float) = m.ret {
+            let ret = m.ret.map(|is_float| {
                 let w = self.out_scratch[pos];
-                self.stack.push(if is_float {
+                if is_float {
                     Value::Float(f64::from_bits(w))
                 } else {
                     Value::Int(w as i64)
-                });
-            }
-            Ok(hit_target)
+                }
+            });
+            Ok(Probe::Hit(ret))
         } else {
             if fp_words > 0 {
                 self.dep_rt.push_frame();
@@ -905,7 +1161,7 @@ impl BcMachine<'_, '_> {
                 key_start: ks as u32,
                 entry_cycles: 0,
             });
-            Ok(pc + 1)
+            Ok(Probe::Miss)
         }
     }
 
@@ -962,9 +1218,10 @@ impl BcMachine<'_, '_> {
         Ok(())
     }
 
-    /// Memo region unwound by `return`; the return value is on top of the
-    /// operand stack (peeked, not popped — outer regions need it too).
-    fn memo_exit_ret(&mut self, id: u32) -> Result<(), Trap> {
+    /// Memo region unwound by `return`; `ret` is the return value on top
+    /// of the operand stack (peeked, not popped — outer regions need it
+    /// too).
+    fn memo_exit_ret(&mut self, id: u32, ret: Value) -> Result<(), Trap> {
         let r = self.regions.pop().expect("memo region");
         debug_assert!(r.memo && r.id == id, "region stack out of sync");
         if !r.armed {
@@ -974,11 +1231,10 @@ impl BcMachine<'_, '_> {
         let m = self.bc.memos[id as usize];
         let tracking = m.fp_words > 0;
         if let Some(is_float) = m.ret {
-            let v = *self.stack.last().expect("return value");
             let w = if is_float {
-                v.as_float()?.to_bits()
+                ret.as_float()?.to_bits()
             } else {
-                v.as_int()? as u64
+                ret.as_int()? as u64
             };
             self.rec_scratch.push(w);
             self.fp_scratch.clear();
@@ -1023,7 +1279,8 @@ impl BcMachine<'_, '_> {
     }
 
     fn profile_enter(&mut self, id: u32) {
-        let p = self.bc.profiles[id as usize];
+        let bc = self.bc;
+        let p = bc.profiles[id as usize];
         let ks = self.key_arena.len();
         let read = p.inputs.iter().try_for_each(|op| {
             read_operand_into(
@@ -1034,34 +1291,22 @@ impl BcMachine<'_, '_> {
                 &mut self.dep_rt,
             )
         });
-        let prof = self.profiler.as_mut().expect("profiler present");
-        let seg = &mut prof.segs[p.seg as usize];
-        seg.n += 1;
-        if read.is_err() {
-            // Counted, not fatal — see the tree-walker's `exec_profile`.
-            seg.key_traps += 1;
-        } else {
-            let key = &self.key_arena[ks..];
-            if let Some(c) = seg.distinct.get_mut(key) {
-                *c += 1;
-            } else {
-                seg.distinct.insert(key.into(), 1);
-            }
-            // Count this execution under each distinct active ancestor
-            // (profile regions only, across all frames — the global
-            // nesting view the tree-walker's profile_stack provides).
-            self.seen_scratch.clear();
-            for r in &self.regions {
-                if r.memo {
-                    continue;
-                }
-                let outer = self.bc.profiles[r.id as usize].seg;
-                if outer != p.seg && !self.seen_scratch.contains(&outer) {
-                    self.seen_scratch.push(outer);
-                    *seg.within.entry(outer).or_insert(0) += 1;
-                }
-            }
-        }
+        // Nesting is observed across all frames — the global view the
+        // tree-walker's profile_stack provides.
+        let ancestors = self
+            .regions
+            .iter()
+            .filter(|r| !r.memo)
+            .map(|r| bc.profiles[r.id as usize].seg);
+        self.profiler
+            .as_mut()
+            .expect("profiler present")
+            .record_probe(
+                p.seg,
+                read.is_ok().then(|| &self.key_arena[ks..]),
+                ancestors,
+                &mut self.seen_scratch,
+            );
         self.key_arena.truncate(ks);
         self.regions.push(Region {
             memo: false,
@@ -1072,10 +1317,10 @@ impl BcMachine<'_, '_> {
         });
     }
 
-    fn profile_exit(&mut self, id: u32) {
+    fn profile_exit(&mut self, id: u32, cycles: u64) {
         let r = self.regions.pop().expect("profile region");
         debug_assert!(!r.memo && r.id == id, "region stack out of sync");
-        let spent = self.cycles - r.entry_cycles;
+        let spent = cycles - r.entry_cycles;
         let seg = self.bc.profiles[id as usize].seg;
         if let Some(prof) = self.profiler.as_mut() {
             prof.segs[seg as usize].body_cycles += spent;

@@ -1396,7 +1396,8 @@ impl SpecMachine<'_, '_> {
     }
 
     fn profile_enter(&mut self, id: u32) {
-        let p = self.bc.profiles[id as usize];
+        let bc = self.bc;
+        let p = bc.profiles[id as usize];
         let ks = self.key_arena.len();
         let read = p.inputs.iter().try_for_each(|op| {
             read_operand_into(
@@ -1407,30 +1408,20 @@ impl SpecMachine<'_, '_> {
                 &mut self.dep_rt,
             )
         });
-        let prof = self.profiler.as_mut().expect("profiler present");
-        let seg = &mut prof.segs[p.seg as usize];
-        seg.n += 1;
-        if read.is_err() {
-            seg.key_traps += 1;
-        } else {
-            let key = &self.key_arena[ks..];
-            if let Some(c) = seg.distinct.get_mut(key) {
-                *c += 1;
-            } else {
-                seg.distinct.insert(key.into(), 1);
-            }
-            self.seen_scratch.clear();
-            for r in &self.regions {
-                if r.memo {
-                    continue;
-                }
-                let outer = self.bc.profiles[r.id as usize].seg;
-                if outer != p.seg && !self.seen_scratch.contains(&outer) {
-                    self.seen_scratch.push(outer);
-                    *seg.within.entry(outer).or_insert(0) += 1;
-                }
-            }
-        }
+        let ancestors = self
+            .regions
+            .iter()
+            .filter(|r| !r.memo)
+            .map(|r| bc.profiles[r.id as usize].seg);
+        self.profiler
+            .as_mut()
+            .expect("profiler present")
+            .record_probe(
+                p.seg,
+                read.is_ok().then(|| &self.key_arena[ks..]),
+                ancestors,
+                &mut self.seen_scratch,
+            );
         self.key_arena.truncate(ks);
         self.regions.push(Region {
             memo: false,

@@ -23,6 +23,7 @@
 //! # Ok::<(), vm::value::Trap>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 

@@ -124,6 +124,42 @@ pub struct ProfileData {
 }
 
 impl ProfileData {
+    /// Records one execution of segment `seg` at its probe, the one
+    /// bookkeeping routine every engine calls. It counts the instance in
+    /// `n`, then either counts a trapped key read (`key` is `None`) in
+    /// `key_traps`, or counts the input value set `key` and nests the
+    /// instance once under each distinct active ancestor segment other
+    /// than `seg` itself. `ancestors` lists the profile regions open
+    /// around the probe, across all frames, repeats allowed; `seen` is
+    /// caller-owned scratch, so a probe allocates only the first time a
+    /// key or an ancestor occurs.
+    pub(crate) fn record_probe(
+        &mut self,
+        seg: u32,
+        key: Option<&[u64]>,
+        ancestors: impl Iterator<Item = u32>,
+        seen: &mut Vec<u32>,
+    ) {
+        let s = &mut self.segs[seg as usize];
+        s.n += 1;
+        let Some(key) = key else {
+            s.key_traps += 1;
+            return;
+        };
+        if let Some(c) = s.distinct.get_mut(key) {
+            *c += 1;
+        } else {
+            s.distinct.insert(key.into(), 1);
+        }
+        seen.clear();
+        for outer in ancestors {
+            if outer != seg && !seen.contains(&outer) {
+                seen.push(outer);
+                *s.within.entry(outer).or_insert(0) += 1;
+            }
+        }
+    }
+
     /// Average executions of segment `inner` per execution of segment
     /// `outer` (the `n` of formula (4)); zero if `outer` never ran.
     pub fn nesting_factor(&self, outer: u32, inner: u32) -> f64 {

@@ -11,41 +11,78 @@ use vm::{Engine, RunConfig};
 
 const ENGINES: [Engine; 3] = [Engine::Tree, Engine::Bytecode, Engine::Specialized];
 
-/// A random arithmetic expression over `x`, `i`, and `acc`. With
-/// `div_by` set, a division by `(x - div_by)` is injected so specific
-/// inputs trap.
+/// A random integer expression over `x`, `i`, and `acc`, plus the
+/// operand shapes the bytecode engine's `Int × Int` fast paths must hand
+/// to the shared slow path: float arithmetic and compares (`fx`, `fy`),
+/// pointer compares (`p`, `q` and `buf + k`, fused and unfused), calls
+/// to `mix` in argument position, `&&`/`||`/`?:` inside arguments, and
+/// the recursive `walk`. Nested calls and ternaries also drive the
+/// operand stack to the depth `bytecode::compile` bounds statically.
 fn arb_body_expr() -> impl Strategy<Value = String> {
     let leaf = prop_oneof![
         Just("x".to_string()),
         Just("i".to_string()),
         Just("acc".to_string()),
         (1i64..100).prop_map(|v| v.to_string()),
+        Just("(int)(fx * fy)".to_string()),
+        Just("(fx < fy)".to_string()),
+        (1i64..9).prop_map(|v| format!("(int)(fx * {v}.5 - fy)")),
+        Just("(p < q)".to_string()),
+        Just("(p == q)".to_string()),
+        Just("(buf + (i & 7) >= q)".to_string()),
     ];
-    leaf.prop_recursive(3, 24, 2, |inner| {
-        (
-            inner.clone(),
-            prop_oneof![
-                Just("+"),
-                Just("-"),
-                Just("*"),
-                Just("^"),
-                Just("&"),
-                Just("|")
-            ],
-            inner,
-        )
-            .prop_map(|(a, op, b)| format!("({a} {op} {b})"))
+    leaf.prop_recursive(3, 24, 3, |inner| {
+        prop_oneof![
+            (
+                inner.clone(),
+                prop_oneof![
+                    Just("+"),
+                    Just("-"),
+                    Just("*"),
+                    Just("^"),
+                    Just("&"),
+                    Just("|"),
+                    Just("&&"),
+                    Just("||"),
+                    Just("<")
+                ],
+                inner.clone(),
+            )
+                .prop_map(|(a, op, b)| format!("({a} {op} {b})")),
+            (inner.clone(), inner.clone(), inner.clone())
+                .prop_map(|(c, a, b)| format!("({c} ? {a} : {b})")),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("mix({a}, {b})")),
+            inner.prop_map(|a| format!("walk(x & 7, {a})")),
+        ]
     })
 }
 
+/// The helpers [`arb_body_expr`] calls: a two-argument mixer and a
+/// recursion at most eight calls deep.
+const HELPERS: &str = "
+        int buf[8];
+        int mix(int a, int b) { return (a * 31 + b) & 1023; }
+        int walk(int n, int a) { return n <= 0 ? a : walk(n - 1, (a * 3 + n) & 4095); }";
+
+/// The locals of `hot` that [`arb_body_expr`] reads: two floats and two
+/// pointers into `buf`, all derived from the argument `x`.
+const HOT_LOCALS: &str = "
+            float fx = (float)x * 0.5;
+            float fy = (float)(x & 7) + 0.25;
+            int *p = buf + (x & 7);
+            int *q = buf + 3;";
+
+/// The `hot`/`main` template around a generated step expression. With
+/// `div_by` set, a division by `(x - div_by)` is injected so specific
+/// inputs trap.
 fn program_with(body_expr: &str, iters: u8, modulus: u32, div_by: Option<i64>) -> String {
     let step = match div_by {
         Some(k) => format!("acc = (acc + {body_expr}) % {modulus} + x / (x - {k});"),
         None => format!("acc = (acc + {body_expr}) % {modulus};"),
     };
     format!(
-        "
-        int hot(int x) {{
+        "{HELPERS}
+        int hot(int x) {{{HOT_LOCALS}
             int acc = 1;
             for (int i = 0; i < {iters}; i++) {{
                 {step}
@@ -151,9 +188,9 @@ fn dominant_input(dom: i64, distinct: i64, n: usize) -> Vec<i64> {
 /// promoting still-valid entries green and forcing stale ones red.
 fn dep_program_with(body_expr: &str, iters: u8, modulus: u32) -> String {
     format!(
-        "
+        "{HELPERS}
         int lut[32];
-        int hot(int x) {{
+        int hot(int x) {{{HOT_LOCALS}
             int acc = 1;
             for (int i = 0; i < {iters}; i++) {{
                 acc = (acc + lut[(x + i) % 32] + {body_expr}) % {modulus};
