@@ -145,25 +145,8 @@ fn time_workload(w: &Workload, opt: vm::OptLevel, scale: f64, engine: vm::Engine
     start.elapsed().as_secs_f64() * 1e3
 }
 
-/// The wall-clock bar the specialized tier must clear over the
-/// tree-walker: the bytecode tier's recorded seven-workload sweep
-/// (BENCH_pr3.json, `speedup_wall`). The third tier starts from the
-/// bytecode dispatch loop, so beating this bar means the mined
-/// superinstructions and clones paid for themselves.
-const SPEC_SPEEDUP_BAR: f64 = 1.541;
-
-fn bench_engines(
-    ws: &[Workload],
-    opt: vm::OptLevel,
-    scale: f64,
-    assert_faster: bool,
-    gate_engine: vm::Engine,
-) {
-    let engines = [
-        vm::Engine::Tree,
-        vm::Engine::Bytecode,
-        vm::Engine::Specialized,
-    ];
+fn bench_engines(ws: &[Workload], opt: vm::OptLevel, scale: f64, assert_faster: bool) {
+    let engines = [vm::Engine::Tree, vm::Engine::Bytecode];
     let rows: Vec<EngineBenchRow> = ws
         .iter()
         .map(|w| EngineBenchRow {
@@ -179,48 +162,7 @@ fn bench_engines(
         return;
     }
     let totals = bench::reports::engine_totals(&rows);
-    let total = |e: vm::Engine| -> f64 {
-        totals
-            .iter()
-            .find(|(t, _)| *t == e)
-            .map(|&(_, ms)| ms)
-            .expect("engine measured")
-    };
-    let tree = total(vm::Engine::Tree);
-    let bc = total(vm::Engine::Bytecode);
-    if gate_engine == vm::Engine::Specialized {
-        // The specialized gate holds the tier above the *recorded*
-        // bytecode bar, not merely above this host's bytecode run. A
-        // host that cannot even reproduce the recorded bytecode speedup
-        // is starved (CI noise, shared runners) — then a spec-behind-bar
-        // result is inconclusive, never a silent pass.
-        let spec = total(vm::Engine::Specialized);
-        let spec_speedup = tree / spec;
-        if spec_speedup > SPEC_SPEEDUP_BAR {
-            return;
-        }
-        let host_bc_speedup = tree / bc;
-        if host_bc_speedup <= SPEC_SPEEDUP_BAR {
-            // The host's own bytecode run is below the recorded bar, so
-            // this run cannot distinguish a regressed tier from a
-            // degraded host. (When the host *does* clear the bar, a
-            // spec run at least as fast as bytecode clears it too —
-            // tree/spec >= tree/bc — so this branch never hides a
-            // genuinely healthy tier behind an exit 3.)
-            eprintln!(
-                "specialized gate inconclusive: host does not reproduce the recorded \
-                 bytecode bar (tree/spec {spec_speedup:.3}, tree/bytecode \
-                 {host_bc_speedup:.3}, bar {SPEC_SPEEDUP_BAR})"
-            );
-            std::process::exit(EXIT_INCONCLUSIVE);
-        }
-        eprintln!(
-            "specialized engine below the bytecode bar: tree/spec {spec_speedup:.3} \
-             <= {SPEC_SPEEDUP_BAR} while this host reproduces tree/bytecode \
-             {host_bc_speedup:.3} (tree {tree:.1} ms, bytecode {bc:.1} ms, spec {spec:.1} ms)"
-        );
-        std::process::exit(1);
-    }
+    let (tree, bc) = (totals[0].1, totals[1].1);
     if bc >= tree {
         eprintln!("bytecode engine not faster: {bc:.1} ms vs tree {tree:.1} ms");
         std::process::exit(1);
@@ -686,8 +628,7 @@ fn main() {
                 engine = match argv.get(i).map(String::as_str) {
                     Some("tree") => vm::Engine::Tree,
                     Some("bytecode") => vm::Engine::Bytecode,
-                    Some("specialized") => vm::Engine::Specialized,
-                    other => panic!("--engine needs tree, bytecode, or specialized, got {other:?}"),
+                    other => panic!("--engine needs tree or bytecode, got {other:?}"),
                 };
             }
             "--adaptive" => adaptive = true,
@@ -769,7 +710,7 @@ fn main() {
         } else {
             vec![workloads::by_name(&name).unwrap_or_else(|| panic!("unknown workload {name}"))]
         };
-        bench_engines(&ws, opt, scale, assert_faster, engine);
+        bench_engines(&ws, opt, scale, assert_faster);
         return;
     }
 

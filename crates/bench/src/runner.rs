@@ -31,10 +31,6 @@ pub struct Prepared {
     pub opt: OptLevel,
     /// The execution engine used for profiling and measurement runs.
     pub engine: vm::Engine,
-    /// The pipeline's mined specialization plan (shared by the baseline
-    /// and memoized run configs when the engine is
-    /// [`vm::Engine::Specialized`], `None` otherwise).
-    pub spec_plan: Option<std::sync::Arc<vm::SpecPlan>>,
 }
 
 /// Extra preparation options.
@@ -86,7 +82,6 @@ pub fn prepare_with(
         .unwrap_or_else(|e| panic!("{}: pipeline failed: {e}", w.name));
     let base_module = vm::lower(&outcome.baseline);
     let memo_module = vm::lower(&outcome.transformed);
-    let spec_plan = outcome.spec_plan.clone().map(std::sync::Arc::new);
     Prepared {
         name: w.name,
         outcome,
@@ -94,7 +89,6 @@ pub fn prepare_with(
         memo_module,
         opt,
         engine: opts.engine,
-        spec_plan,
     }
 }
 
@@ -167,7 +161,6 @@ pub fn execute_with_tables(
             cost: cost.clone(),
             input: data.clone(),
             engine: p.engine,
-            spec_plan: p.spec_plan.clone(),
             ..RunConfig::default()
         },
     )
@@ -179,7 +172,6 @@ pub fn execute_with_tables(
             input: data,
             tables,
             engine: p.engine,
-            spec_plan: p.spec_plan.clone(),
             ..RunConfig::default()
         },
     )

@@ -32,7 +32,7 @@ fn table6_has_eleven_rows_plus_mean() {
     assert!(hm > 1.0, "the scheme wins overall: {hm}");
 }
 
-/// The N-engine `--bench-engines` report round-trips through the strict
+/// The `--bench-engines` report round-trips through the strict
 /// `bench::json` parser: the `engine_ms`/`speedup_vs_tree` objects carry
 /// one key per measured engine, and the legacy two-engine keys
 /// (`tree_ms`, `bytecode_ms`, `speedup`, `total_*`, `speedup_wall`)
@@ -43,19 +43,11 @@ fn engine_bench_json_round_trips_n_engines() {
     let rows = vec![
         EngineBenchRow {
             name: "G721_encode",
-            engine_ms: vec![
-                (vm::Engine::Tree, 300.0),
-                (vm::Engine::Bytecode, 200.0),
-                (vm::Engine::Specialized, 150.0),
-            ],
+            engine_ms: vec![(vm::Engine::Tree, 300.0), (vm::Engine::Bytecode, 200.0)],
         },
         EngineBenchRow {
             name: "RASTA",
-            engine_ms: vec![
-                (vm::Engine::Tree, 90.0),
-                (vm::Engine::Bytecode, 60.0),
-                (vm::Engine::Specialized, 45.0),
-            ],
+            engine_ms: vec![(vm::Engine::Tree, 90.0), (vm::Engine::Bytecode, 60.0)],
         },
     ];
     let report = reports::engine_bench_json(0.25, vm::OptLevel::O0, &rows);
@@ -65,13 +57,8 @@ fn engine_bench_json_round_trips_n_engines() {
     let totals = parsed.get("total_engine_ms").expect("total_engine_ms");
     assert_eq!(totals.get("tree").and_then(|v| v.as_f64()), Some(390.0));
     assert_eq!(totals.get("bytecode").and_then(|v| v.as_f64()), Some(260.0));
-    assert_eq!(
-        totals.get("specialized").and_then(|v| v.as_f64()),
-        Some(195.0)
-    );
     let wall = parsed.get("speedup_wall_vs_tree").expect("wall speedups");
     assert_eq!(wall.get("bytecode").and_then(|v| v.as_f64()), Some(1.5));
-    assert_eq!(wall.get("specialized").and_then(|v| v.as_f64()), Some(2.0));
 
     // Legacy two-engine schema preserved verbatim.
     assert_eq!(
@@ -103,16 +90,16 @@ fn engine_bench_json_round_trips_n_engines() {
     assert_eq!(
         first
             .get("engine_ms")
-            .and_then(|v| v.get("specialized"))
+            .and_then(|v| v.get("bytecode"))
             .and_then(|v| v.as_f64()),
-        Some(150.0)
+        Some(200.0)
     );
     assert_eq!(
         first
             .get("speedup_vs_tree")
-            .and_then(|v| v.get("specialized"))
+            .and_then(|v| v.get("bytecode"))
             .and_then(|v| v.as_f64()),
-        Some(2.0)
+        Some(1.5)
     );
 }
 

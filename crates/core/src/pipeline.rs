@@ -212,12 +212,10 @@ pub struct ReuseOutcome {
     pub table_deps: Vec<Vec<usize>>,
     /// Decision log.
     pub report: Report,
-    /// The mined specialization plan, when the pipeline ran with
-    /// [`vm::Engine::Specialized`]: dispatch-trace hot pairs plus the
-    /// dominant key of each top-k hottest chosen segment. `None` on the
-    /// other engines (and legal to leave unused — the specialized engine
-    /// without a plan is exactly the generic bytecode engine).
-    pub spec_plan: Option<vm::specialize::SpecPlan>,
+    /// Retired: the plan of the deleted specialized engine. Always
+    /// `None` ([`vm::SpecPlan`] has no values); kept only so existing
+    /// readers of the field still build.
+    pub spec_plan: Option<vm::SpecPlan>,
 }
 
 impl ReuseOutcome {
@@ -458,10 +456,6 @@ pub fn run_pipeline(
             input: config.profile_input.clone(),
             max_cycles: config.max_profile_cycles,
             engine: config.engine,
-            // The specialized tier mines its superinstructions from this
-            // run's dispatch trace, which skips the probes (no plan exists
-            // yet, so the run executes on the generic bytecode path).
-            record_trace: config.engine == vm::Engine::Specialized,
             ..RunConfig::default()
         },
     )
@@ -661,55 +655,6 @@ pub fn run_pipeline(
         }
     }
 
-    // Specialization-plan mining (§2.4): hot dispatch pairs from the
-    // stage-2 trace, plus the dominant key of each of the hottest chosen
-    // segments. A key qualifies as dominant when it recurred often
-    // enough during profiling that baking its values into a cloned body
-    // can pay; profiles of real programs spread hits over many keys, so
-    // the bar is absolute recurrence, not a share of all executions.
-    /// Minimum profiled recurrence for a key to count as dominant.
-    const DOMINANT_MIN_RECURRENCE: u64 = 8;
-    let spec_plan = if config.engine == vm::Engine::Specialized {
-        let hot_pairs = run
-            .trace
-            .as_ref()
-            .map(|t| t.top_pairs(16, 64))
-            .unwrap_or_default();
-        let mut ranked: Vec<usize> = (0..chosen.len()).collect();
-        ranked.sort_by_key(|&k| std::cmp::Reverse(survivors[chosen[k]].4));
-        let mut dominants = Vec::new();
-        for k in ranked {
-            if dominants.len() >= 4 {
-                break;
-            }
-            let sp = &profile.segs[chosen[k]];
-            // Total order (count, then smaller key) keeps mining
-            // deterministic across HashMap iteration orders.
-            let Some((key, &count)) = sp
-                .distinct
-                .iter()
-                .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(a.0)))
-            else {
-                continue;
-            };
-            if sp.n == 0 || count < DOMINANT_MIN_RECURRENCE {
-                continue;
-            }
-            let a = plan.assignments[k];
-            dominants.push(vm::specialize::DominantKey {
-                table: a.table as u32,
-                slot: a.slot as u32,
-                key: key.to_vec(),
-            });
-        }
-        Some(vm::specialize::SpecPlan {
-            hot_pairs,
-            dominants,
-        })
-    } else {
-        None
-    };
-
     let transformed_prog = insert_memos(&checked.program, &memos);
     let transformed =
         minic::check(transformed_prog).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
@@ -722,6 +667,6 @@ pub fn run_pipeline(
         policies,
         table_deps,
         report,
-        spec_plan,
+        spec_plan: None,
     })
 }

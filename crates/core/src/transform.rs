@@ -363,11 +363,7 @@ mod tests {
         let probe =
             ProbeSpec::for_segment(body, 0, vec![MemoOperand::scalar("t", ScalarKind::Int)]);
         let module = vm::lower(&minic::check(insert_probes(&checked.program, &[probe])).unwrap());
-        for engine in [
-            vm::Engine::Tree,
-            vm::Engine::Bytecode,
-            vm::Engine::Specialized,
-        ] {
+        for engine in [vm::Engine::Tree, vm::Engine::Bytecode] {
             let out = vm::run(
                 &module,
                 vm::RunConfig {

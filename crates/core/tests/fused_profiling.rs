@@ -5,13 +5,11 @@
 //! 1. every execution count (decisions and `ColdCode` rejects) equals the
 //!    call/loop/branch counters of an uninstrumented run of the baseline;
 //! 2. every survivor's `n`, distinct key counts, body cycles and nesting
-//!    counts equal a run that probes the survivors alone;
-//! 3. the specialized tier's hot pairs equal those mined from a trace of
-//!    the uninstrumented baseline.
+//!    counts equal a run that probes the survivors alone.
 //!
 //! The matrix covers the seven main workloads × {default, alt} profile
 //! inputs × validation on/off × {tree, bytecode}, plus sub-segment
-//! exposure on one workload and the specialized tier at O0 and O3.
+//! exposure on one workload and the O3 cost model on bytecode.
 
 use analysis::deps::plan_deps;
 use analysis::{Analyses, Reject, SegKind, Segment};
@@ -139,23 +137,6 @@ fn check(label: &str, program: &minic::ast::Program, config: &PipelineConfig) ->
         assert_eq!(seg_fingerprint(got), seg_fingerprint(want), "{label}");
     }
 
-    // 3. Hot pairs against a trace of the uninstrumented baseline.
-    if let Some(plan) = &outcome.spec_plan {
-        let traced = vm::run(
-            &module,
-            RunConfig {
-                record_trace: true,
-                ..run_config(config)
-            },
-        )
-        .expect("traced baseline run");
-        let trace = traced.trace.expect("trace recorded");
-        assert_eq!(
-            plan.hot_pairs,
-            trace.top_pairs(16, 64),
-            "{label}: hot pairs"
-        );
-    }
     outcome
 }
 
@@ -178,19 +159,12 @@ fn check_workload(w: &Workload) {
             }
         }
     }
-    for opt in [OptLevel::O0, OptLevel::O3] {
-        let config = PipelineConfig {
-            cost: CostModel::for_level(opt),
-            profile_input: (w.default_input)(SCALE),
-            engine: Engine::Specialized,
-            ..PipelineConfig::default()
-        };
-        check(
-            &format!("{} specialized {opt:?}", w.name),
-            &program,
-            &config,
-        );
-    }
+    let config = PipelineConfig {
+        cost: CostModel::for_level(OptLevel::O3),
+        profile_input: (w.default_input)(SCALE),
+        ..PipelineConfig::default()
+    };
+    check(&format!("{} bytecode O3", w.name), &program, &config);
 }
 
 #[test]
@@ -259,7 +233,7 @@ fn cold_outer_segments_drop_out_of_nesting_counts() {
             return 0;
         }";
     let program = minic::parse(src).expect("parse");
-    for engine in [Engine::Tree, Engine::Bytecode, Engine::Specialized] {
+    for engine in [Engine::Tree, Engine::Bytecode] {
         let config = PipelineConfig {
             engine,
             ..PipelineConfig::default()

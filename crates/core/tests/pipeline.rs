@@ -374,11 +374,7 @@ fn late_init_src(iterations: u32) -> String {
 /// Runs the pipeline on every engine; all must agree on the report.
 fn key_trap_rejects(iterations: u32) -> Vec<(String, analysis::Reject)> {
     let mut reports = Vec::new();
-    for engine in [
-        vm::Engine::Tree,
-        vm::Engine::Bytecode,
-        vm::Engine::Specialized,
-    ] {
+    for engine in [vm::Engine::Tree, vm::Engine::Bytecode] {
         let config = PipelineConfig {
             engine,
             ..PipelineConfig::default()

@@ -311,7 +311,7 @@ pub mod collection {
     use super::test_runner::TestRng;
     use std::ops::{Range, RangeInclusive};
 
-    /// A length specification for [`vec`]: a fixed size or a range.
+    /// A length specification for [`vec()`]: a fixed size or a range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,
@@ -354,7 +354,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         elem: S,

@@ -89,7 +89,7 @@ pub use histogram::LatencyHistogram;
 pub use queue::{BoundedQueue, PushError};
 
 /// One program the service can serve: the memoized module plus the table
-/// plan the pipeline produced for it ([`compreuse::ReuseOutcome`]'s
+/// plan the pipeline produced for it (`compreuse::ReuseOutcome`'s
 /// `specs` and `policies`, by value so the service crate stays independent
 /// of the compiler crates).
 #[derive(Debug)]
@@ -103,13 +103,12 @@ pub struct ServiceProgram {
     /// Per-table adaptive-guard policies (same length as `specs`).
     pub policies: Vec<GuardPolicy>,
     /// Per-table, per-slot dependency-fingerprint widths in words
-    /// ([`compreuse::ReuseOutcome`]'s `table_deps`; `0` = exact-match
+    /// (`compreuse::ReuseOutcome`'s `table_deps`; `0` = exact-match
     /// slot). An empty outer vector means no slot is fingerprinted.
     pub table_deps: Vec<Vec<usize>>,
-    /// The pipeline's mined specialization plan
-    /// ([`compreuse::ReuseOutcome`]'s `spec_plan`). Applied only when
-    /// [`ServiceConfig::engine`] is [`vm::Engine::Specialized`]; answers
-    /// and table state are identical either way (DESIGN.md §8j).
+    /// Retired: the plan of the deleted specialized engine
+    /// (`compreuse::ReuseOutcome`'s `spec_plan`). Always `None`
+    /// ([`vm::SpecPlan`] has no values) and never read.
     pub spec_plan: Option<vm::SpecPlan>,
 }
 
@@ -174,11 +173,6 @@ pub struct ServiceConfig {
     /// entries. Applies to stores built after the flag is set (via
     /// [`ReuseService::new`] or [`ReuseService::reset_stores`]).
     pub admission: bool,
-    /// Execution engine workers compile for. [`vm::Engine::Specialized`]
-    /// applies each program's [`ServiceProgram::spec_plan`] at
-    /// precompile time; any other value (and a program without a plan)
-    /// compiles generic bytecode. Observables are engine-independent.
-    pub engine: vm::Engine,
 }
 
 impl Default for ServiceConfig {
@@ -200,7 +194,6 @@ impl Default for ServiceConfig {
             validate: true,
             l1_slots: 64,
             admission: false,
-            engine: vm::Engine::default(),
         }
     }
 }
@@ -639,18 +632,6 @@ impl ReuseService {
             .sum()
     }
 
-    /// Compiles `p` for the configured engine: the specialized tier
-    /// applies the program's mined plan at precompile time, everything
-    /// else (including plan-less programs) gets generic bytecode.
-    fn precompile_program<'a>(&self, p: &'a ServiceProgram) -> vm::Precompiled<'a> {
-        match (self.config.engine, &p.spec_plan) {
-            (vm::Engine::Specialized, Some(plan)) => {
-                vm::precompile_spec(&p.module, &self.config.cost, plan)
-            }
-            _ => vm::precompile(&p.module, &self.config.cost),
-        }
-    }
-
     fn run_config_for(&self, req: &Request, store: Option<Arc<Vec<ShardedTable>>>) -> RunConfig {
         RunConfig {
             cost: self.config.cost.clone(),
@@ -720,8 +701,9 @@ impl ReuseService {
                     while let Some(idx) = queue.pop() {
                         let req = &requests[idx];
                         let rt = &self.programs[req.program];
-                        let pre = compiled[req.program]
-                            .get_or_insert_with(|| self.precompile_program(&rt.program));
+                        let pre = compiled[req.program].get_or_insert_with(|| {
+                            vm::precompile(&rt.program.module, &self.config.cost)
+                        });
                         let l1 = if self.config.l1_slots > 0 {
                             Some(
                                 l1_sets[req.program]
@@ -1002,8 +984,8 @@ impl ReuseService {
         let t0 = Instant::now();
         for (idx, req) in requests.iter().enumerate() {
             let rt = &self.programs[req.program];
-            let pre =
-                compiled[req.program].get_or_insert_with(|| self.precompile_program(&rt.program));
+            let pre = compiled[req.program]
+                .get_or_insert_with(|| vm::precompile(&rt.program.module, &self.config.cost));
             let tables = private_tables(
                 &rt.program.specs,
                 &rt.program.policies,

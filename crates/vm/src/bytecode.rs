@@ -367,26 +367,6 @@ pub(crate) enum Instr {
     ProfileEnter(u32),
     /// Profile probe exit: accumulate body cycles, pop the region.
     ProfileExit(u32),
-    /// Fused pair of adjacent *linear* instructions discovered by trace
-    /// mining (the operand indexes `SpecCode::pairs`, see
-    /// [`crate::specialize`]): executes both halves, then continues at
-    /// `pc + 2`. The second instruction of the pair stays in place in the
-    /// code array, so a jump that lands between the halves executes the
-    /// tail alone — substitution never retargets jumps. Emitted and
-    /// executed only by the specialized engine.
-    Super2(u32),
-    /// Push a value baked in at specialization time (a dominant memo
-    /// input folded into a cloned segment body), charging exactly the
-    /// access cost of the read it replaces. Emitted and executed only by
-    /// the specialized engine.
-    PushKnown {
-        /// Raw value word (float bits when `float`, else the integer).
-        w: u64,
-        /// Interpret `w` as float bits.
-        float: bool,
-        /// The replaced read's pre-resolved charge.
-        cost: u32,
-    },
 }
 
 /// A compiled module: one flat code array plus per-function entry points
@@ -403,9 +383,6 @@ pub(crate) struct BcModule<'m> {
     pub(crate) memo_cost: Vec<u64>,
     /// Profile descriptors referenced by `ProfileEnter`/`ProfileExit` ids.
     pub(crate) profiles: Vec<&'m LProfile>,
-    /// Per memo id, the pc of its `MemoEnter` and of its
-    /// `MemoExitNormal` — the body span `specialize` clones.
-    pub(crate) memo_spans: Vec<(u32, u32)>,
     /// Per function, the deepest its own code takes the operand stack
     /// above the depth at entry (see [`stack_bound`]). A frame entry
     /// reserves this many slots, so the dispatch loop never grows the
@@ -424,7 +401,6 @@ pub(crate) fn compile<'m>(module: &'m Module, cost: &CostModel) -> BcModule<'m> 
         memos: Vec::new(),
         memo_cost: Vec::new(),
         profiles: Vec::new(),
-        memo_spans: Vec::new(),
         max_stack: Vec::with_capacity(module.funcs.len()),
     };
     let has_profiler = !module.profile_segments.is_empty();
@@ -465,8 +441,7 @@ fn stack_effect(i: &Instr, module: &Module) -> (u32, u32) {
         | Instr::ReadIdx { .. }
         | Instr::AddrLocal(..)
         | Instr::AddrGlobal(..)
-        | Instr::BinaryFast { .. }
-        | Instr::PushKnown { .. } => (0, 1),
+        | Instr::BinaryFast { .. } => (0, 1),
         // A decided `ShortCircuit` pushes its 0/1 on the jump path only
         // (see `stack_bound`).
         Instr::Pop
@@ -513,7 +488,6 @@ fn stack_effect(i: &Instr, module: &Module) -> (u32, u32) {
         Instr::CallFunc(fid) => (module.funcs[*fid as usize].params.len() as u32, 1),
         Instr::CallBuiltin { nargs, .. } => (*nargs, 1),
         Instr::CallIndirect(nargs) => (*nargs + 1, 1),
-        Instr::Super2(..) => unreachable!("fused pairs exist only in specialized code"),
     }
 }
 
@@ -993,9 +967,7 @@ impl<'m> FnCx<'_, 'm> {
         self.regions.push(StaticRegion::Memo(id));
         self.block(&m.body);
         self.regions.pop();
-        let exit = self.here();
         self.emit(Instr::MemoExitNormal(id));
-        self.bc.memo_spans.push((enter as u32, exit));
         if m.ret.is_some() {
             // A hit restores the return value onto the stack and jumps to
             // this stub, which unwinds the *enclosing* regions and
@@ -1266,122 +1238,6 @@ impl<'m> FnCx<'_, 'm> {
             }
         }
     }
-}
-
-/// Number of opcode kinds distinguished by [`op_kind`].
-pub(crate) const OP_KINDS: usize = 56;
-
-/// Dense opcode-kind code of an instruction, used as a dispatch-trace
-/// index ([`crate::specialize::DispatchTrace`]). Operands are ignored:
-/// trace mining generalizes over them.
-pub(crate) fn op_kind(i: &Instr) -> u8 {
-    match i {
-        Instr::PushI(..) => 0,
-        Instr::PushF(..) => 1,
-        Instr::PushFn(..) => 2,
-        Instr::PushUninit => 3,
-        Instr::Pop => 4,
-        Instr::ReadLocal(..) => 5,
-        Instr::ReadGlobal(..) => 6,
-        Instr::ReadMem => 7,
-        Instr::PtrAddRead { .. } => 8,
-        Instr::ReadIdx { .. } => 9,
-        Instr::AddrLocal(..) => 10,
-        Instr::AddrGlobal(..) => 11,
-        Instr::CheckPtr => 12,
-        Instr::PtrAdd(..) => 13,
-        Instr::PtrDiff(..) => 14,
-        Instr::Unary(..) => 15,
-        Instr::Binary(..) => 16,
-        Instr::BinaryFast { .. } => 17,
-        Instr::Truthy => 18,
-        Instr::Tick(..) => 19,
-        Instr::ShortCircuit { .. } => 20,
-        Instr::Jump(..) => 21,
-        Instr::JumpIfFalse(..) => 22,
-        Instr::JumpIfTrue(..) => 23,
-        Instr::JumpIfFalseCmp { .. } => 24,
-        Instr::JumpIfTrueCmp { .. } => 25,
-        Instr::BranchIf { .. } => 26,
-        Instr::BranchIfCmp { .. } => 27,
-        Instr::WhileHead(..) => 28,
-        Instr::LoopCond { .. } => 29,
-        Instr::LoopCondCmp { .. } => 30,
-        Instr::ForHead(..) => 31,
-        Instr::DoHead { .. } => 32,
-        Instr::LoopCount(..) => 33,
-        Instr::DeclStore { .. } => 34,
-        Instr::Store { .. } => 35,
-        Instr::StoreLocal { .. } => 36,
-        Instr::LoadDupAddr => 37,
-        Instr::AssignOpFin { .. } => 38,
-        Instr::IncDecFin { .. } => 39,
-        Instr::IncDecLocal { .. } => 40,
-        Instr::CoerceVal(..) => 41,
-        Instr::CallFunc(..) => 42,
-        Instr::CallBuiltin { .. } => 43,
-        Instr::CallIndirect(..) => 44,
-        Instr::CastInt => 45,
-        Instr::CastFloat => 46,
-        Instr::Ret => 47,
-        Instr::MemoEnter { .. } => 48,
-        Instr::MemoExitNormal(..) => 49,
-        Instr::MemoExitRet(..) => 50,
-        Instr::MemoExitBreak(..) => 51,
-        Instr::ProfileEnter(..) => 52,
-        Instr::ProfileExit(..) => 53,
-        Instr::Super2(..) => 54,
-        Instr::PushKnown { .. } => 55,
-    }
-}
-
-/// Whether an instruction is *linear*: it advances `pc` by exactly one,
-/// never transfers control, and never opens or closes a call frame or a
-/// memo/profile region. Two adjacent linear instructions execute
-/// observably identically inside one [`Instr::Super2`] dispatch — cycle
-/// charges, budget checks, dependency notes, and traps all land in the
-/// same order. Loop heads qualify (their budget check runs at the same
-/// point either way); anything that touches `pc`, frames, or regions
-/// does not.
-pub(crate) fn is_linear(i: &Instr) -> bool {
-    matches!(
-        i,
-        Instr::PushI(..)
-            | Instr::PushF(..)
-            | Instr::PushFn(..)
-            | Instr::PushUninit
-            | Instr::Pop
-            | Instr::ReadLocal(..)
-            | Instr::ReadGlobal(..)
-            | Instr::ReadMem
-            | Instr::PtrAddRead { .. }
-            | Instr::ReadIdx { .. }
-            | Instr::AddrLocal(..)
-            | Instr::AddrGlobal(..)
-            | Instr::CheckPtr
-            | Instr::PtrAdd(..)
-            | Instr::PtrDiff(..)
-            | Instr::Unary(..)
-            | Instr::Binary(..)
-            | Instr::BinaryFast { .. }
-            | Instr::Truthy
-            | Instr::Tick(..)
-            | Instr::WhileHead(..)
-            | Instr::ForHead(..)
-            | Instr::DoHead { .. }
-            | Instr::LoopCount(..)
-            | Instr::DeclStore { .. }
-            | Instr::Store { .. }
-            | Instr::StoreLocal { .. }
-            | Instr::LoadDupAddr
-            | Instr::AssignOpFin { .. }
-            | Instr::IncDecFin { .. }
-            | Instr::IncDecLocal { .. }
-            | Instr::CoerceVal(..)
-            | Instr::CastInt
-            | Instr::CastFloat
-            | Instr::PushKnown { .. }
-    )
 }
 
 #[cfg(test)]

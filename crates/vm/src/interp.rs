@@ -24,28 +24,19 @@ use std::sync::Arc;
 
 /// Which execution engine runs the module.
 ///
-/// All engines charge identical cycle/energy costs and produce
+/// Both engines charge identical cycle/energy costs and produce
 /// bit-for-bit identical [`Outcome`]s; they differ only in host-side
-/// execution strategy (see DESIGN.md, "Two execution engines" and
-/// §8j for the specialized tier).
+/// execution strategy (see DESIGN.md, "Two execution engines").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// The original recursive tree-walker (runs on a dedicated
-    /// big-stack thread). The executable spec the other tiers are
+    /// big-stack thread). The executable spec the bytecode engine is
     /// differentially tested against.
     Tree,
     /// The flat bytecode compiler + non-recursive dispatch loop
     /// (default: same results, much lower host wall-clock).
     #[default]
     Bytecode,
-    /// The profile-guided trace-specialization tier: bytecode with
-    /// mined superinstruction fusion and guarded dominant-value segment
-    /// clones applied ([`crate::specialize`]). Without a
-    /// [`RunConfig::spec_plan`] it runs the generic bytecode engine
-    /// (recording a dispatch trace when [`RunConfig::record_trace`] is
-    /// set), which is how warm-up/profiling runs behave before a plan
-    /// exists.
-    Specialized,
 }
 
 impl std::fmt::Display for Engine {
@@ -53,7 +44,6 @@ impl std::fmt::Display for Engine {
         match self {
             Engine::Tree => write!(f, "tree"),
             Engine::Bytecode => write!(f, "bytecode"),
-            Engine::Specialized => write!(f, "specialized"),
         }
     }
 }
@@ -106,16 +96,6 @@ pub struct RunConfig {
     /// the perturbed-input experiment. Either way the executed answer is
     /// identical — validation only changes which probes recompute.
     pub validate: bool,
-    /// Record a [`crate::specialize::DispatchTrace`] during the run
-    /// (bytecode-backed engines only; the tree-walker has no dispatch
-    /// sequence). The trace comes back in [`Outcome::trace`] and feeds
-    /// [`crate::specialize::SpecPlan`] mining.
-    pub record_trace: bool,
-    /// The specialization plan [`Engine::Specialized`] applies. `None`
-    /// makes the specialized engine behave exactly like the generic
-    /// bytecode engine (tier warm-up, before a plan exists). Ignored by
-    /// the other engines.
-    pub spec_plan: Option<Arc<crate::specialize::SpecPlan>>,
 }
 
 impl Default for RunConfig {
@@ -132,8 +112,6 @@ impl Default for RunConfig {
             max_depth: 4096,
             engine: Engine::default(),
             validate: true,
-            record_trace: false,
-            spec_plan: None,
         }
     }
 }
@@ -166,14 +144,6 @@ pub struct Outcome {
     pub l1: Option<Vec<L1Cache>>,
     /// Value-set profiles, if the module contained probes.
     pub profile: Option<ProfileData>,
-    /// The dispatch trace, when [`RunConfig::record_trace`] was set and
-    /// a bytecode-backed engine ran. Host-side observability only —
-    /// never part of the cross-engine equivalence fingerprint.
-    pub trace: Option<crate::specialize::DispatchTrace>,
-    /// Specialization counters (guard probes, hits, deopts), when
-    /// [`Engine::Specialized`] ran with a plan. Host-side observability
-    /// only, like [`Outcome::trace`].
-    pub spec: Option<crate::specialize::SpecStats>,
 }
 
 impl Outcome {
@@ -210,20 +180,6 @@ pub fn run(module: &Module, config: RunConfig) -> Result<Outcome, Trap> {
             // so it runs on the caller's thread with no recursion.
             let bc = crate::bytecode::compile(module, &config.cost);
             crate::interp_bc::run_bc(module, &bc, config)
-        }
-        Engine::Specialized => {
-            // Same flat dispatch loop as the bytecode tier, but running a
-            // plan-specialized copy of the code. Without a plan it degrades
-            // to the generic bytecode engine (optionally recording a trace
-            // so the pipeline can mine a plan).
-            let bc = crate::bytecode::compile(module, &config.cost);
-            match config.spec_plan.clone() {
-                Some(plan) => {
-                    let spec = crate::specialize::build(&bc, &plan, &config.cost);
-                    crate::interp_spec::run_spec(module, &spec, config)
-                }
-                None => crate::interp_bc::run_bc(module, &bc, config),
-            }
         }
         Engine::Tree => {
             // The tree-walker recurses on the Rust stack (one chain of
@@ -327,8 +283,6 @@ fn run_on_current_thread(module: &Module, config: RunConfig) -> Result<Outcome, 
         tables,
         l1,
         profile: m.profiler,
-        trace: None,
-        spec: None,
     })
 }
 

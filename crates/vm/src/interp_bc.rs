@@ -15,9 +15,7 @@
 //! reads them: calls, returns, and memo and profile probes (DESIGN.md
 //! §8d). Rarely executed instructions run out of line in `step_cold`,
 //! which takes and returns that state by value, so the loop stays small
-//! enough for the compiler to keep it in registers. Dispatch-trace
-//! recording is a separate instance of the loop (`exec::<true>`), so the
-//! common run carries no per-dispatch trace test.
+//! enough for the compiler to keep it in registers.
 //!
 //! Cycle/energy parity with the tree-walker is a hard contract: every
 //! instruction charges exactly the cost the tree-walker charges at the
@@ -26,7 +24,7 @@
 //! The differential and property tests in `tests/` assert bit-for-bit
 //! equal [`Outcome`]s across engines.
 
-use crate::bytecode::{op_kind, BcModule, FastArg, Instr};
+use crate::bytecode::{BcModule, FastArg, Instr};
 use crate::cost::{cycles_to_seconds, CostModel};
 use crate::deps_rt::DepRuntime;
 use crate::interp::{
@@ -82,6 +80,71 @@ struct Regs {
     cycles: u64,
 }
 
+// The dispatch loop's primitives, shared by `exec` and `step_cold`. Each
+// names the state it touches (the operand stack and its pointer, the
+// frame base, the cycle counter, the machine) as arguments, because a
+// module-level macro cannot see the caller's locals.
+
+/// Pushes `v` onto the operand stack `stack` at `sp`.
+macro_rules! push {
+    ($stack:ident, $sp:ident, $v:expr) => {{
+        let v = $v;
+        $stack[$sp] = v;
+        $sp += 1;
+    }};
+}
+
+/// Pops the top of the operand stack `stack`.
+macro_rules! pop {
+    ($stack:ident, $sp:ident) => {{
+        $sp -= 1;
+        $stack[$sp]
+    }};
+}
+
+/// Reads a fused leaf operand from `mem` in the frame at `frame`.
+macro_rules! arg {
+    ($mem:expr, $frame:ident, $a:expr) => {
+        match $a {
+            FastArg::I(v) => Value::Int(*v),
+            FastArg::Local(off) => $mem[$frame + *off as usize],
+        }
+    };
+}
+
+/// The write charge of a [`WriteCost`] under the cost model `cost`.
+macro_rules! write_charge {
+    ($cost:ident, $c:expr) => {
+        match $c {
+            WriteCost::Var => $cost.var_access,
+            WriteCost::Mem => $cost.mem_access,
+        }
+    };
+}
+
+/// Traps with [`Trap::CycleLimit`] once `cycles` exceeds `max`.
+macro_rules! check_budget {
+    ($cycles:ident, $max:expr) => {
+        if $cycles > $max {
+            return Err(Trap::CycleLimit);
+        }
+    };
+}
+
+/// Evaluates a machine method between a write-back of the `frame` and
+/// `cycles` locals to the machine `m` and a reload of both, since the
+/// method may read or advance them.
+macro_rules! out_of_line {
+    ($m:ident, $frame:ident, $cycles:ident, $e:expr) => {{
+        $m.frame = $frame;
+        $m.cycles = $cycles;
+        let r = $e;
+        $frame = $m.frame;
+        $cycles = $m.cycles;
+        r
+    }};
+}
+
 /// Runs a compiled module to completion. Engine-agnostic setup and the
 /// outcome layout match `run_on_current_thread` in `interp` exactly.
 pub(crate) fn run_bc(
@@ -106,8 +169,6 @@ pub(crate) fn run_bc(
         module,
         bc,
         mem,
-        pc: 0,
-        sp: 0,
         frame: 0,
         stack_top: globals_len,
         stack_limit: globals_len + config.stack_cells,
@@ -135,26 +196,11 @@ pub(crate) fn run_bc(
         dep_rt: DepRuntime::new(module),
         fp_scratch: Vec::new(),
         validate: config.validate,
-        trace: config
-            .record_trace
-            .then(|| Box::new(crate::specialize::DispatchTrace::new())),
-        parked_trace: None,
     };
 
-    m.pc = m.enter_function(module.main, &[], HALT)?;
+    let entry = m.enter_function(module.main, &[], HALT)?;
     m.stack = grown(Vec::new(), bc.max_stack[module.main as usize] as usize);
-    let halted = if m.trace.is_some() {
-        m.exec::<true>()?
-    } else {
-        None
-    };
-    let ret = match halted {
-        Some(v) => v,
-        None => m
-            .exec::<false>()?
-            .expect("only the recording loop stops early"),
-    };
-    let ret = match ret {
+    let ret = match m.exec(entry)? {
         Value::Int(v) => v,
         _ => 0,
     };
@@ -173,8 +219,6 @@ pub(crate) fn run_bc(
         tables,
         l1,
         profile: m.profiler,
-        trace: m.trace.or(m.parked_trace).map(|b| *b),
-        spec: None,
     })
 }
 
@@ -263,13 +307,9 @@ struct BcMachine<'m, 'b> {
     module: &'m Module,
     bc: &'b BcModule<'m>,
     mem: Vec<Value>,
-    /// Next instruction. Like `sp`, `frame` and `cycles`, the dispatch
-    /// loop keeps its own copy and writes it back only where out-of-line
-    /// code reads it (`exec`).
-    pc: u32,
-    /// Operand-stack pointer: the first free slot of `stack`.
-    sp: usize,
-    /// Current frame base (absolute cell index).
+    /// Current frame base (absolute cell index). Like `cycles`, the
+    /// dispatch loop keeps its own copy and writes it back only where
+    /// out-of-line code reads it (`exec`).
     frame: usize,
     stack_top: usize,
     stack_limit: usize,
@@ -311,13 +351,6 @@ struct BcMachine<'m, 'b> {
     fp_scratch: Vec<u64>,
     /// Whether probes of fingerprinted segments run validation.
     validate: bool,
-    /// Dispatch-pair trace, recorded only when `RunConfig::record_trace`
-    /// is set (the pipeline's profiling run). Boxed so the common
-    /// non-recording machine stays small.
-    trace: Option<Box<crate::specialize::DispatchTrace>>,
-    /// A saturated trace, moved out of `trace` when the recording loop
-    /// hands the rest of the run to the non-recording one.
-    parked_trace: Option<Box<crate::specialize::DispatchTrace>>,
 }
 
 impl BcMachine<'_, '_> {
@@ -374,84 +407,31 @@ impl BcMachine<'_, '_> {
         Ok(self.bc.entries[fid as usize])
     }
 
-    /// Runs the dispatch loop from the machine's `pc`/`sp`/`frame`/
-    /// `cycles` until `main` returns its value. The recording instance
-    /// (`TRACE`) steps the dispatch trace before each instruction; once
-    /// the trace saturates it parks it, writes the state back, and
-    /// returns `Ok(None)` before executing the current instruction, so
-    /// the non-recording instance picks up exactly there.
-    fn exec<const TRACE: bool>(&mut self) -> Result<Option<Value>, Trap> {
+    /// Runs the dispatch loop from `entry`, with an empty operand stack
+    /// and the machine's `frame`/`cycles`, until `main` returns its value.
+    fn exec(&mut self, entry: u32) -> Result<Value, Trap> {
         let bc = self.bc;
         let code: &[Instr] = &bc.code;
         let cost = self.cost.clone();
         let max_cycles = self.max_cycles;
         let mut stack = std::mem::take(&mut self.stack);
-        let mut pc = self.pc;
-        let mut sp = self.sp;
+        let mut pc = entry;
+        let mut sp = 0;
         let mut frame = self.frame;
         let mut cycles = self.cycles;
 
-        macro_rules! push {
-            ($v:expr) => {{
-                let v = $v;
-                stack[sp] = v;
-                sp += 1;
-            }};
-        }
-        macro_rules! pop {
-            () => {{
-                sp -= 1;
-                stack[sp]
-            }};
-        }
-        macro_rules! arg {
-            ($a:expr) => {
-                match $a {
-                    FastArg::I(v) => Value::Int(*v),
-                    FastArg::Local(off) => self.mem[frame + *off as usize],
-                }
-            };
-        }
-        macro_rules! write_charge {
-            ($c:expr) => {
-                match $c {
-                    WriteCost::Var => cost.var_access,
-                    WriteCost::Mem => cost.mem_access,
-                }
-            };
-        }
-        macro_rules! check_budget {
-            () => {
-                if cycles > max_cycles {
-                    return Err(Trap::CycleLimit);
-                }
-            };
-        }
-        // Writes the locals out-of-line code reads back to the machine.
-        macro_rules! sync_out {
-            () => {
-                self.frame = frame;
-                self.cycles = cycles;
-            };
-        }
-        // Evaluates a machine method between a write-back and a reload of
-        // the locals it may read or advance.
-        macro_rules! out_of_line {
-            ($e:expr) => {{
-                sync_out!();
-                let r = $e;
-                frame = self.frame;
-                cycles = self.cycles;
-                r
-            }};
-        }
         // A call: move the top `n` operands into `fid`'s new frame and
         // reserve the callee's operand slots above them.
         macro_rules! call {
             ($fid:expr, $n:expr) => {{
                 let (fid, n) = ($fid, $n);
                 sp -= n;
-                pc = out_of_line!(self.enter_function(fid, &stack[sp..sp + n], pc + 1))?;
+                pc = out_of_line!(
+                    self,
+                    frame,
+                    cycles,
+                    self.enter_function(fid, &stack[sp..sp + n], pc + 1)
+                )?;
                 let need = sp + bc.max_stack[fid as usize] as usize;
                 if need > stack.len() {
                     stack = grown(stack, need);
@@ -461,34 +441,13 @@ impl BcMachine<'_, '_> {
 
         loop {
             let instr = &code[pc as usize];
-            if TRACE {
-                let t = self
-                    .trace
-                    .as_deref_mut()
-                    .expect("recording loop runs with a trace");
-                // Profile probes are invisible to the trace, so a profiling
-                // run mines the same pairs as the uninstrumented program.
-                if !matches!(instr, Instr::ProfileEnter(_) | Instr::ProfileExit(_)) {
-                    t.step(op_kind(instr));
-                }
-                if t.saturated() {
-                    // Budget spent: the rest of the run goes to the
-                    // non-recording loop, starting with this instruction.
-                    self.parked_trace = self.trace.take();
-                    sync_out!();
-                    self.pc = pc;
-                    self.sp = sp;
-                    self.stack = stack;
-                    return Ok(None);
-                }
-            }
             match instr {
                 Instr::PushI(v) => {
-                    push!(Value::Int(*v));
+                    push!(stack, sp, Value::Int(*v));
                     pc += 1;
                 }
                 Instr::PushF(v) => {
-                    push!(Value::Float(*v));
+                    push!(stack, sp, Value::Float(*v));
                     pc += 1;
                 }
                 Instr::Pop => {
@@ -497,7 +456,7 @@ impl BcMachine<'_, '_> {
                 }
                 Instr::ReadLocal(off) => {
                     cycles += cost.var_access;
-                    push!(self.mem[frame + *off as usize]);
+                    push!(stack, sp, self.mem[frame + *off as usize]);
                     pc += 1;
                 }
                 Instr::ReadGlobal(a) => {
@@ -506,19 +465,19 @@ impl BcMachine<'_, '_> {
                     if self.dep_rt.active() {
                         self.dep_rt.note_read(*a as usize);
                     }
-                    push!(v);
+                    push!(stack, sp, v);
                     pc += 1;
                 }
                 Instr::PtrAddRead { stride, cost: c } => {
-                    let i = pop!().as_int()?;
-                    let b = pop!().as_ptr()?;
+                    let i = pop!(stack, sp).as_int()?;
+                    let b = pop!(stack, sp).as_ptr()?;
                     cycles += u64::from(*c);
                     let addr = (b as i64).wrapping_add(i.wrapping_mul(*stride)) as usize;
                     let v = mem_read(&self.mem, addr)?;
                     if self.dep_rt.active() {
                         self.dep_rt.note_read(addr);
                     }
-                    push!(v);
+                    push!(stack, sp, v);
                     pc += 1;
                 }
                 Instr::ReadIdx {
@@ -529,7 +488,7 @@ impl BcMachine<'_, '_> {
                     pre_cost,
                     post_cost,
                 } => {
-                    let iv = arg!(idx);
+                    let iv = arg!(self.mem, frame, idx);
                     cycles += u64::from(*pre_cost);
                     let i = iv.as_int()?;
                     cycles += u64::from(*post_cost);
@@ -543,15 +502,15 @@ impl BcMachine<'_, '_> {
                     if self.dep_rt.active() {
                         self.dep_rt.note_read(addr);
                     }
-                    push!(v);
+                    push!(stack, sp, v);
                     pc += 1;
                 }
                 Instr::AddrLocal(off) => {
-                    push!(Value::Ptr(frame + *off as usize));
+                    push!(stack, sp, Value::Ptr(frame + *off as usize));
                     pc += 1;
                 }
                 Instr::AddrGlobal(a) => {
-                    push!(Value::Ptr(*a as usize));
+                    push!(stack, sp, Value::Ptr(*a as usize));
                     pc += 1;
                 }
                 Instr::CheckPtr => {
@@ -560,25 +519,29 @@ impl BcMachine<'_, '_> {
                     pc += 1;
                 }
                 Instr::PtrAdd(stride) => {
-                    let i = pop!().as_int()?;
-                    let b = pop!().as_ptr()?;
+                    let i = pop!(stack, sp).as_int()?;
+                    let b = pop!(stack, sp).as_ptr()?;
                     cycles += cost.int_alu;
                     let delta = i.wrapping_mul(*stride);
-                    push!(Value::Ptr((b as i64).wrapping_add(delta) as usize));
+                    push!(
+                        stack,
+                        sp,
+                        Value::Ptr((b as i64).wrapping_add(delta) as usize)
+                    );
                     pc += 1;
                 }
                 Instr::Binary(op, c) => {
-                    let y = pop!();
+                    let y = pop!(stack, sp);
                     let x = stack[sp - 1];
                     cycles += *c;
                     stack[sp - 1] = binary(*op, x, y)?;
                     pc += 1;
                 }
                 Instr::BinaryFast { op, a, b, cost: c } => {
-                    let x = arg!(a);
-                    let y = arg!(b);
+                    let x = arg!(self.mem, frame, a);
+                    let y = arg!(self.mem, frame, b);
                     cycles += *c;
-                    push!(binary(*op, x, y)?);
+                    push!(stack, sp, binary(*op, x, y)?);
                     pc += 1;
                 }
                 Instr::Tick(n) => {
@@ -587,7 +550,7 @@ impl BcMachine<'_, '_> {
                 }
                 Instr::Jump(t) => pc = *t,
                 Instr::JumpIfFalse(t) => {
-                    if truthy(pop!())? {
+                    if truthy(pop!(stack, sp))? {
                         pc += 1;
                     } else {
                         pc = *t;
@@ -600,8 +563,8 @@ impl BcMachine<'_, '_> {
                     cost: c,
                     target,
                 } => {
-                    let x = arg!(a);
-                    let y = arg!(b);
+                    let x = arg!(self.mem, frame, a);
+                    let y = arg!(self.mem, frame, b);
                     cycles += u64::from(*c);
                     if condition(*op, x, y)? {
                         pc += 1;
@@ -613,7 +576,7 @@ impl BcMachine<'_, '_> {
                     branch_idx,
                     else_target,
                 } => {
-                    let taken = truthy(pop!())?;
+                    let taken = truthy(pop!(stack, sp))?;
                     let slot = (*branch_idx as usize) * 2 + usize::from(!taken);
                     self.branch_counts[slot] += 1;
                     if taken {
@@ -630,8 +593,8 @@ impl BcMachine<'_, '_> {
                     branch_idx,
                     else_target,
                 } => {
-                    let x = arg!(a);
-                    let y = arg!(b);
+                    let x = arg!(self.mem, frame, a);
+                    let y = arg!(self.mem, frame, b);
                     cycles += u64::from(*c);
                     let taken = condition(*op, x, y)?;
                     let slot = (*branch_idx as usize) * 2 + usize::from(!taken);
@@ -643,12 +606,12 @@ impl BcMachine<'_, '_> {
                     }
                 }
                 Instr::WhileHead(c) => {
-                    check_budget!();
+                    check_budget!(cycles, max_cycles);
                     cycles += *c;
                     pc += 1;
                 }
                 Instr::LoopCond { loop_idx, end } => {
-                    if truthy(pop!())? {
+                    if truthy(pop!(stack, sp))? {
                         self.loop_counts[*loop_idx as usize] += 1;
                         pc += 1;
                     } else {
@@ -663,8 +626,8 @@ impl BcMachine<'_, '_> {
                     loop_idx,
                     end,
                 } => {
-                    let x = arg!(a);
-                    let y = arg!(b);
+                    let x = arg!(self.mem, frame, a);
+                    let y = arg!(self.mem, frame, b);
                     cycles += u64::from(*c);
                     if condition(*op, x, y)? {
                         self.loop_counts[*loop_idx as usize] += 1;
@@ -674,7 +637,7 @@ impl BcMachine<'_, '_> {
                     }
                 }
                 Instr::ForHead(c) => {
-                    check_budget!();
+                    check_budget!(cycles, max_cycles);
                     cycles += *c;
                     pc += 1;
                 }
@@ -683,7 +646,7 @@ impl BcMachine<'_, '_> {
                     pc += 1;
                 }
                 Instr::DeclStore { slot, coerce } => {
-                    let v = coerce_value(pop!(), *coerce)?;
+                    let v = coerce_value(pop!(stack, sp), *coerce)?;
                     cycles += cost.var_access;
                     self.mem[frame + *slot as usize] = v;
                     pc += 1;
@@ -694,11 +657,11 @@ impl BcMachine<'_, '_> {
                     write_cost,
                     keep,
                 } => {
-                    let v = coerce_value(pop!(), *coerce)?;
-                    cycles += write_charge!(write_cost);
+                    let v = coerce_value(pop!(stack, sp), *coerce)?;
+                    cycles += write_charge!(cost, write_cost);
                     mem_write(&mut self.mem, frame + *slot as usize, v)?;
                     if *keep {
-                        push!(v);
+                        push!(stack, sp, v);
                     }
                     pc += 1;
                 }
@@ -713,9 +676,9 @@ impl BcMachine<'_, '_> {
                     let addr = frame + *slot as usize;
                     let (old, new) =
                         inc_dec(&mut self.mem, &mut self.dep_rt, addr, *delta, *ptr_stride)?;
-                    cycles += cost.int_alu + write_charge!(write_cost);
+                    cycles += cost.int_alu + write_charge!(cost, write_cost);
                     if *keep {
-                        push!(if *post { old } else { new });
+                        push!(stack, sp, if *post { old } else { new });
                     }
                     pc += 1;
                 }
@@ -726,7 +689,7 @@ impl BcMachine<'_, '_> {
                 Instr::CallFunc(fid) => {
                     call!(*fid, self.module.funcs[*fid as usize].params.len());
                 }
-                Instr::CallIndirect(nargs) => match pop!() {
+                Instr::CallIndirect(nargs) => match pop!(stack, sp) {
                     Value::Func(fid) => call!(fid, *nargs as usize),
                     Value::Uninit => return Err(Trap::UninitRead),
                     _ => return Err(Trap::NotAFunction),
@@ -739,8 +702,8 @@ impl BcMachine<'_, '_> {
                     self.stack_top = fr.stack_top;
                     self.depth -= 1;
                     if fr.ret_pc == HALT {
-                        sync_out!();
-                        return Ok(Some(stack[sp - 1]));
+                        self.cycles = cycles;
+                        return Ok(stack[sp - 1]);
                     }
                     pc = fr.ret_pc;
                 }
@@ -774,76 +737,30 @@ impl BcMachine<'_, '_> {
             mut cycles,
         } = regs;
         let cost = &self.cost;
-        macro_rules! arg {
-            ($a:expr) => {
-                match $a {
-                    FastArg::I(v) => Value::Int(*v),
-                    FastArg::Local(off) => self.mem[frame + *off as usize],
-                }
-            };
-        }
-        macro_rules! push {
-            ($v:expr) => {{
-                let v = $v;
-                stack[sp] = v;
-                sp += 1;
-            }};
-        }
-        macro_rules! pop {
-            () => {{
-                sp -= 1;
-                stack[sp]
-            }};
-        }
-        macro_rules! write_charge {
-            ($c:expr) => {
-                match $c {
-                    WriteCost::Var => cost.var_access,
-                    WriteCost::Mem => cost.mem_access,
-                }
-            };
-        }
-        macro_rules! check_budget {
-            () => {
-                if cycles > self.max_cycles {
-                    return Err(Trap::CycleLimit);
-                }
-            };
-        }
-        macro_rules! out_of_line {
-            ($e:expr) => {{
-                self.frame = frame;
-                self.cycles = cycles;
-                let r = $e;
-                frame = self.frame;
-                cycles = self.cycles;
-                r
-            }};
-        }
         match instr {
             Instr::PushFn(f) => {
-                push!(Value::Func(*f));
+                push!(stack, sp, Value::Func(*f));
                 pc += 1;
             }
             Instr::PushUninit => {
-                push!(Value::Uninit);
+                push!(stack, sp, Value::Uninit);
                 pc += 1;
             }
             Instr::ReadMem => {
-                let a = pop!().as_ptr()?;
+                let a = pop!(stack, sp).as_ptr()?;
                 cycles += cost.mem_access;
                 let v = mem_read(&self.mem, a)?;
                 if self.dep_rt.active() {
                     self.dep_rt.note_read(a);
                 }
-                push!(v);
+                push!(stack, sp, v);
                 pc += 1;
             }
             Instr::PtrDiff(stride) => {
-                let y = pop!().as_ptr()? as i64;
-                let x = pop!().as_ptr()? as i64;
+                let y = pop!(stack, sp).as_ptr()? as i64;
+                let x = pop!(stack, sp).as_ptr()? as i64;
                 cycles += cost.int_alu;
-                push!(Value::Int((x - y) / *stride));
+                push!(stack, sp, Value::Int((x - y) / *stride));
                 pc += 1;
             }
             Instr::Unary(op, c) => {
@@ -858,17 +775,17 @@ impl BcMachine<'_, '_> {
                 pc += 1;
             }
             Instr::ShortCircuit { and, end } => {
-                let x = truthy(pop!())?;
+                let x = truthy(pop!(stack, sp))?;
                 let decided = if *and { !x } else { x };
                 if decided {
-                    push!(Value::Int(i64::from(x)));
+                    push!(stack, sp, Value::Int(i64::from(x)));
                     pc = *end;
                 } else {
                     pc += 1;
                 }
             }
             Instr::JumpIfTrue(t) => {
-                if truthy(pop!())? {
+                if truthy(pop!(stack, sp))? {
                     pc = *t;
                 } else {
                     pc += 1;
@@ -881,8 +798,8 @@ impl BcMachine<'_, '_> {
                 cost: c,
                 target,
             } => {
-                let x = arg!(a);
-                let y = arg!(b);
+                let x = arg!(self.mem, frame, a);
+                let y = arg!(self.mem, frame, b);
                 cycles += u64::from(*c);
                 if condition(*op, x, y)? {
                     pc = *target;
@@ -891,16 +808,16 @@ impl BcMachine<'_, '_> {
                 }
             }
             Instr::DoHead { loop_idx, cost: c } => {
-                check_budget!();
+                check_budget!(cycles, self.max_cycles);
                 self.loop_counts[*loop_idx as usize] += 1;
                 cycles += *c;
                 pc += 1;
             }
             Instr::Store { coerce, write_cost } => {
-                let v = pop!();
+                let v = pop!(stack, sp);
                 let addr = stack[sp - 1].as_ptr()?;
                 let v = coerce_value(v, *coerce)?;
-                cycles += write_charge!(write_cost);
+                cycles += write_charge!(cost, write_cost);
                 mem_write(&mut self.mem, addr, v)?;
                 self.dep_rt.note_write(addr, v);
                 stack[sp - 1] = v;
@@ -913,7 +830,7 @@ impl BcMachine<'_, '_> {
                     self.dep_rt.note_read(addr);
                 }
                 stack[sp - 1] = Value::Ptr(addr);
-                push!(old);
+                push!(stack, sp, old);
                 pc += 1;
             }
             Instr::AssignOpFin {
@@ -923,9 +840,9 @@ impl BcMachine<'_, '_> {
                 ptr_stride,
                 write_cost,
             } => {
-                let rhs = pop!();
-                let old = pop!();
-                let addr = pop!().as_ptr()?;
+                let rhs = pop!(stack, sp);
+                let old = pop!(stack, sp);
+                let addr = pop!(stack, sp).as_ptr()?;
                 cycles += *c;
                 let new = match ptr_stride {
                     Some(stride) => {
@@ -936,10 +853,10 @@ impl BcMachine<'_, '_> {
                     }
                     None => coerce_value(binary(*op, old, rhs)?, *coerce)?,
                 };
-                cycles += write_charge!(write_cost);
+                cycles += write_charge!(cost, write_cost);
                 mem_write(&mut self.mem, addr, new)?;
                 self.dep_rt.note_write(addr, new);
-                push!(new);
+                push!(stack, sp, new);
                 pc += 1;
             }
             Instr::IncDecFin {
@@ -948,11 +865,11 @@ impl BcMachine<'_, '_> {
                 ptr_stride,
                 write_cost,
             } => {
-                let addr = pop!().as_ptr()?;
+                let addr = pop!(stack, sp).as_ptr()?;
                 let (old, new) =
                     inc_dec(&mut self.mem, &mut self.dep_rt, addr, *delta, *ptr_stride)?;
-                cycles += cost.int_alu + write_charge!(write_cost);
-                push!(if *post { old } else { new });
+                cycles += cost.int_alu + write_charge!(cost, write_cost);
+                push!(stack, sp, if *post { old } else { new });
                 pc += 1;
             }
             Instr::CallBuiltin { builtin, nargs } => {
@@ -984,7 +901,7 @@ impl BcMachine<'_, '_> {
                     }
                 };
                 sp = base;
-                push!(result);
+                push!(stack, sp, result);
                 pc += 1;
             }
             Instr::CastInt => {
@@ -1010,39 +927,36 @@ impl BcMachine<'_, '_> {
                 };
                 pc += 1;
             }
-            Instr::MemoEnter { id, hit_target } => match out_of_line!(self.memo_enter(*id))? {
-                Probe::Miss => pc += 1,
-                Probe::Hit(ret) => {
-                    if let Some(v) = ret {
-                        push!(v);
+            Instr::MemoEnter { id, hit_target } => {
+                match out_of_line!(self, frame, cycles, self.memo_enter(*id))? {
+                    Probe::Miss => pc += 1,
+                    Probe::Hit(ret) => {
+                        if let Some(v) = ret {
+                            push!(stack, sp, v);
+                        }
+                        pc = *hit_target;
                     }
-                    pc = *hit_target;
                 }
-            },
+            }
             Instr::MemoExitNormal(id) => {
-                out_of_line!(self.memo_exit_normal(*id))?;
+                out_of_line!(self, frame, cycles, self.memo_exit_normal(*id))?;
                 pc += 1;
             }
             Instr::MemoExitRet(id) => {
-                out_of_line!(self.memo_exit_ret(*id, stack[sp - 1]))?;
+                out_of_line!(self, frame, cycles, self.memo_exit_ret(*id, stack[sp - 1]))?;
                 pc += 1;
             }
             Instr::MemoExitBreak(id) => {
-                out_of_line!(self.memo_exit_break(*id))?;
+                out_of_line!(self, frame, cycles, self.memo_exit_break(*id))?;
                 pc += 1;
             }
             Instr::ProfileEnter(id) => {
-                out_of_line!(self.profile_enter(*id));
+                out_of_line!(self, frame, cycles, self.profile_enter(*id));
                 pc += 1;
             }
             Instr::ProfileExit(id) => {
                 self.profile_exit(*id, cycles);
                 pc += 1;
-            }
-            // The generic compiler never emits specialized opcodes;
-            // they exist only in plan-built `SpecCode`.
-            Instr::Super2(_) | Instr::PushKnown { .. } => {
-                unreachable!("specialized opcode in generic bytecode")
             }
             _ => unreachable!("hot instruction in step_cold"),
         }

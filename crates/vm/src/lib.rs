@@ -7,9 +7,13 @@
 //! testbed with a deterministic interpreter:
 //!
 //! - [`mod@lower`] turns a checked MiniC program into a resolved VM IR;
-//! - [`interp`] executes it under a [`cost::CostModel`] (`O0`/`O3` stand-ins,
+//! - [`run`] executes it under a [`cost::CostModel`] (`O0`/`O3` stand-ins,
 //!   206 MHz SA-1110 clock) and an [`energy::EnergyModel`] (the paper's
-//!   `E = V·I·t` with a DRAM term for table traffic);
+//!   `E = V·I·t` with a DRAM term for table traffic), on one of two
+//!   [`Engine`]s with identical modelled results: the tree walker in
+//!   [`interp`] (the executable spec) or the default bytecode dispatch
+//!   loop, which is faster on the host ([`precompile`] compiles a module
+//!   once for many runs);
 //! - `Profile` statements collect value-set profiles ([`profile`]);
 //! - `Memo` statements execute against `memo-runtime` tables, charging the
 //!   paper's hashing overhead on hit and miss alike.
@@ -33,10 +37,8 @@ pub mod deps_rt;
 pub mod energy;
 pub mod interp;
 mod interp_bc;
-mod interp_spec;
 pub mod lower;
 pub mod profile;
-pub mod specialize;
 pub mod tables;
 pub mod value;
 
@@ -46,49 +48,34 @@ pub use interp::{run, Engine, Outcome, RunConfig};
 pub use lower::{lower, Module};
 pub use memo_runtime::L1Cache;
 pub use profile::{ProfileData, SegProfile};
-pub use specialize::{DispatchTrace, DominantKey, SpecPlan, SpecStats};
 pub use tables::TableHandles;
 pub use value::{PrintVal, Trap, Value};
+
+/// The specialization plan of the retired specialized engine. It has no
+/// values, so the `spec_plan` fields that still carry it (on
+/// `compreuse::ReuseOutcome` and `service::ServiceProgram`) are always
+/// `None`. Retired: kept only until those fields are dropped.
+#[derive(Debug, Clone)]
+pub enum SpecPlan {}
 
 /// A module compiled to bytecode once, reusable across many runs.
 ///
 /// [`run`] compiles the bytecode on every call; a request-serving worker
-/// instead compiles each program once with [`precompile`] (or
-/// [`precompile_spec`] for the specialized tier) and executes requests
-/// with [`run_precompiled`], keeping the per-request path free of
-/// compilation work.
+/// instead compiles each program once with [`precompile`] and executes
+/// requests with [`run_precompiled`], keeping the per-request path free
+/// of compilation work.
 #[derive(Debug)]
-pub struct Precompiled<'m>(PreInner<'m>);
-
-#[derive(Debug)]
-enum PreInner<'m> {
-    /// Generic bytecode: runs on the bytecode dispatch loop.
-    Bc(bytecode::BcModule<'m>),
-    /// Plan-specialized code: runs on the specialized dispatch loop.
-    Spec(specialize::SpecCode<'m>),
-}
+pub struct Precompiled<'m>(bytecode::BcModule<'m>);
 
 /// Compiles `module` to bytecode under `cost` (cycle charges are baked in
 /// as immediates, so later runs must use the same cost model).
 pub fn precompile<'m>(module: &'m Module, cost: &CostModel) -> Precompiled<'m> {
-    Precompiled(PreInner::Bc(bytecode::compile(module, cost)))
+    Precompiled(bytecode::compile(module, cost))
 }
 
-/// Compiles `module` to bytecode and applies the specialization `plan`
-/// (mined by the pipeline; see [`specialize::SpecPlan`]). The result runs
-/// on the specialized tier, with observables identical to [`precompile`]'s.
-pub fn precompile_spec<'m>(
-    module: &'m Module,
-    cost: &CostModel,
-    plan: &specialize::SpecPlan,
-) -> Precompiled<'m> {
-    let bc = bytecode::compile(module, cost);
-    Precompiled(PreInner::Spec(specialize::build(&bc, plan, cost)))
-}
-
-/// Runs a precompiled module on the engine it was compiled for
-/// (`config.engine` is ignored). `config.cost` must be the model the
-/// bytecode was compiled under, or cycle accounting will mix two models.
+/// Runs a precompiled module on the bytecode engine (`config.engine` is
+/// ignored). `config.cost` must be the model the bytecode was compiled
+/// under, or cycle accounting will mix two models.
 ///
 /// # Errors
 ///
@@ -98,10 +85,7 @@ pub fn run_precompiled(
     pre: &Precompiled<'_>,
     config: RunConfig,
 ) -> Result<Outcome, Trap> {
-    match &pre.0 {
-        PreInner::Bc(bc) => interp_bc::run_bc(module, bc, config),
-        PreInner::Spec(spec) => interp_spec::run_spec(module, spec, config),
-    }
+    interp_bc::run_bc(module, &pre.0, config)
 }
 
 /// Compiles MiniC source and runs it in one step (convenience for tests

@@ -9,7 +9,7 @@
 //! fast path (skip the key build when the whole table is bypassed) only
 //! exists for private tables. A shared store's guard state lives *per
 //! shard*, and the shard is unknown until the key is built, so
-//! [`TableHandles::state`] reports `Active` for shared handles and a
+//! `TableHandles::state` reports `Active` for shared handles and a
 //! bypassed shard still answers its forced miss inside `lookup`. Program
 //! results are unaffected (bypass never changes outputs); only the cycle
 //! ledger differs, which is part of the documented store-dependent set

@@ -1,15 +1,13 @@
-//! Property test: the tree-walking, bytecode, and profile-guided
-//! specialized engines produce identical [`vm::Outcome`]s — output,
-//! return value, modelled cycles/energy, table statistics — on
-//! randomized MiniC programs, including trap parity when the program
-//! faults and deopt parity when a specialization guard fails mid-run.
+//! Property test: the tree-walking and bytecode engines produce
+//! identical [`vm::Outcome`]s — output, return value, modelled
+//! cycles/energy, table statistics — on randomized MiniC programs,
+//! including trap parity when the program faults.
 
 use compreuse::{run_pipeline, PipelineConfig};
 use proptest::prelude::*;
-use std::sync::Arc;
 use vm::{Engine, RunConfig};
 
-const ENGINES: [Engine; 3] = [Engine::Tree, Engine::Bytecode, Engine::Specialized];
+const ENGINES: [Engine; 2] = [Engine::Tree, Engine::Bytecode];
 
 /// A random integer expression over `x`, `i`, and `acc`, plus the
 /// operand shapes the bytecode engine's `Int × Int` fast paths must hand
@@ -116,14 +114,12 @@ fn fingerprint(o: &vm::Outcome) -> String {
     )
 }
 
-/// Runs `module` under one engine. The plan is ignored by every engine
-/// except [`Engine::Specialized`].
+/// Runs `module` under one engine.
 fn run_one(
     module: &vm::Module,
     input: &[i64],
     tables: Vec<memo_runtime::MemoTable>,
     engine: Engine,
-    plan: Option<Arc<vm::SpecPlan>>,
 ) -> Result<vm::Outcome, vm::Trap> {
     vm::run(
         module,
@@ -131,24 +127,21 @@ fn run_one(
             input: input.to_vec(),
             tables,
             engine,
-            spec_plan: plan,
             ..RunConfig::default()
         },
     )
 }
 
-/// All engines on both program versions must agree bit-for-bit (or trap
-/// identically). The specialized tier runs the pipeline's mined plan
-/// when there is one.
+/// Both engines on both program versions must agree bit-for-bit (or
+/// trap identically).
 fn assert_engines_agree(outcome: &compreuse::ReuseOutcome, input: &[i64]) {
-    let plan = outcome.spec_plan.clone().map(Arc::new);
     for module in [
         vm::lower(&outcome.baseline),
         vm::lower(&outcome.transformed),
     ] {
         let runs: Vec<Result<vm::Outcome, vm::Trap>> = ENGINES
             .iter()
-            .map(|&e| run_one(&module, input, outcome.make_tables(), e, plan.clone()))
+            .map(|&e| run_one(&module, input, outcome.make_tables(), e))
             .collect();
         for pair in runs.windows(2) {
             match (&pair[0], &pair[1]) {
@@ -162,22 +155,6 @@ fn assert_engines_agree(outcome: &compreuse::ReuseOutcome, input: &[i64]) {
             }
         }
     }
-}
-
-/// A profiling input dominated by one recurring operand value: `dom`
-/// appears on two of every three calls, the rest cycle over `distinct`
-/// other values. This is the shape the specializer mines — the plan
-/// bakes `dom` into a cloned segment body behind a guard.
-fn dominant_input(dom: i64, distinct: i64, n: usize) -> Vec<i64> {
-    (0..n)
-        .map(|i| {
-            if i % 3 != 0 {
-                dom
-            } else {
-                dom + 1 + (i as i64 * 13) % distinct
-            }
-        })
-        .collect()
 }
 
 /// Like [`program_with`] but with a 32-word global array the hot
@@ -223,10 +200,8 @@ fn run_chained(
     input_b: &[i64],
     engine: Engine,
 ) -> (vm::Outcome, vm::Outcome) {
-    let plan = outcome.spec_plan.clone().map(Arc::new);
-    let cold =
-        run_one(module, input_a, outcome.make_tables(), engine, plan.clone()).expect("cold run");
-    let warm = run_one(module, input_b, cold.tables.clone(), engine, plan).expect("warm run");
+    let cold = run_one(module, input_a, outcome.make_tables(), engine).expect("cold run");
+    let warm = run_one(module, input_b, cold.tables.clone(), engine).expect("warm run");
     (cold, warm)
 }
 
@@ -247,7 +222,6 @@ fn green_promoted_warm_run_matches_from_scratch() {
         &PipelineConfig {
             profile_input: input_a.clone(),
             min_exec: 8,
-            engine: Engine::Specialized,
             ..PipelineConfig::default()
         },
     )
@@ -258,7 +232,7 @@ fn green_promoted_warm_run_matches_from_scratch() {
     );
     let base = vm::lower(&outcome.baseline);
     let memo = vm::lower(&outcome.transformed);
-    let base_b = run_one(&base, &input_b, vec![], Engine::Tree, None).expect("baseline");
+    let base_b = run_one(&base, &input_b, vec![], Engine::Tree).expect("baseline");
     let chains: Vec<(vm::Outcome, vm::Outcome)> = ENGINES
         .iter()
         .map(|&e| run_chained(&memo, &outcome, &input_a, &input_b, e))
@@ -274,86 +248,6 @@ fn green_promoted_warm_run_matches_from_scratch() {
     }
     let green: u64 = tree_warm.tables.iter().map(|t| t.stats().green_hits).sum();
     assert!(green > 0, "warm run promoted no entries green");
-}
-
-/// Deterministic deopt regression (§8j): a segment specialized on a
-/// dominant operand `v`, probed only with values `v' != v`, must fall
-/// back to the generic body exactly once per probe, charge the same
-/// modelled cycles as the generic engine, and never record a table
-/// entry under the baked (specialized) key.
-#[test]
-fn deopt_falls_back_once_per_probe() {
-    let dom = 5i64;
-    let src = program_with("(x * 3 + i)", 10, 4093, None);
-    let profile = dominant_input(dom, 20, 600);
-    let program = minic::parse(&src).expect("template parses");
-    let outcome = run_pipeline(
-        &program,
-        &PipelineConfig {
-            profile_input: profile,
-            min_exec: 8,
-            engine: Engine::Specialized,
-            ..PipelineConfig::default()
-        },
-    )
-    .expect("pipeline");
-    let plan = outcome.spec_plan.clone().map(Arc::new).expect("mined plan");
-    assert!(
-        !plan.dominants.is_empty(),
-        "dominant-operand template must mine a dominant key"
-    );
-    let memo = vm::lower(&outcome.transformed);
-    // Every probe value differs from the baked dominant: each repeats, so
-    // the table hits after the first occurrence; every *miss* evaluates
-    // the guard and must deopt.
-    let probe_input: Vec<i64> = (0..400).map(|i| dom + 30 + (i % 10)).collect();
-    let spec = run_one(
-        &memo,
-        &probe_input,
-        outcome.make_tables(),
-        Engine::Specialized,
-        Some(plan),
-    )
-    .expect("specialized run");
-    let generic = run_one(
-        &memo,
-        &probe_input,
-        outcome.make_tables(),
-        Engine::Bytecode,
-        None,
-    )
-    .expect("generic run");
-    // Identical cycle charges and table statistics (fingerprint covers
-    // cycles, energy bits, and per-table stats).
-    assert_eq!(fingerprint(&spec), fingerprint(&generic));
-    assert_eq!(spec.cycles, generic.cycles);
-    let s = spec.spec.expect("specialized run reports SpecStats");
-    assert!(s.cloned_segments > 0, "plan must clone the hot segment");
-    assert!(s.guard_probes > 0, "misses at the specialized site probe");
-    assert_eq!(s.guard_hits, 0, "no probe carried the dominant value");
-    assert_eq!(s.deopts, s.guard_probes, "exactly one fallback per probe");
-    // No specialized-keyed entry leaked into the tables: a follow-up
-    // generic run probing the dominant value must behave identically on
-    // the specialized run's tables and on the generic run's tables —
-    // both miss the baked key first, then record and reuse it.
-    let dom_probe: Vec<i64> = vec![dom; 8];
-    let after_spec = run_one(
-        &memo,
-        &dom_probe,
-        spec.tables.clone(),
-        Engine::Bytecode,
-        None,
-    )
-    .expect("warm");
-    let after_generic = run_one(
-        &memo,
-        &dom_probe,
-        generic.tables.clone(),
-        Engine::Bytecode,
-        None,
-    )
-    .expect("warm");
-    assert_eq!(fingerprint(&after_spec), fingerprint(&after_generic));
 }
 
 proptest! {
@@ -375,59 +269,11 @@ proptest! {
             &PipelineConfig {
                 profile_input: input.clone(),
                 min_exec: 8,
-                engine: Engine::Specialized,
-                ..PipelineConfig::default()
+                    ..PipelineConfig::default()
             },
         )
         .expect("pipeline");
         assert_engines_agree(&outcome, &input);
-    }
-
-    #[test]
-    fn deopt_equals_generic(
-        body in arb_body_expr(),
-        iters in 4u8..16,
-        modulus in 17u32..10_000,
-        dom in 1i64..40,
-        distinct in 3i64..40,
-        n in 200usize..800,
-    ) {
-        // Profile with a dominant operand so the plan bakes `dom`, then
-        // run on values that never carry it: every guard evaluation
-        // fails mid-run, and the specialized observables must equal a
-        // from-scratch generic bytecode run bit for bit.
-        let src = program_with(&body, iters, modulus, None);
-        let profile = dominant_input(dom, distinct, n);
-        let program = minic::parse(&src).expect("template parses");
-        let outcome = run_pipeline(
-            &program,
-            &PipelineConfig {
-                profile_input: profile,
-                min_exec: 8,
-                engine: Engine::Specialized,
-                ..PipelineConfig::default()
-            },
-        )
-        .expect("pipeline");
-        let plan = outcome.spec_plan.clone().map(Arc::new);
-        let memo = vm::lower(&outcome.transformed);
-        let probe: Vec<i64> =
-            (0..n).map(|i| dom + 1 + (i as i64 * 7) % distinct).collect();
-        let spec = run_one(
-            &memo, &probe, outcome.make_tables(), Engine::Specialized, plan,
-        )
-        .expect("specialized run");
-        let generic = run_one(
-            &memo, &probe, outcome.make_tables(), Engine::Bytecode, None,
-        )
-        .expect("generic run");
-        prop_assert_eq!(fingerprint(&spec), fingerprint(&generic));
-        if let Some(s) = spec.spec {
-            if s.cloned_segments > 0 {
-                prop_assert_eq!(s.guard_hits, 0);
-                prop_assert_eq!(s.deopts, s.guard_probes);
-            }
-        }
     }
 
     #[test]
@@ -453,14 +299,13 @@ proptest! {
             &PipelineConfig {
                 profile_input: input_a.clone(),
                 min_exec: 8,
-                engine: Engine::Specialized,
-                ..PipelineConfig::default()
+                    ..PipelineConfig::default()
             },
         )
         .expect("pipeline");
         let base = vm::lower(&outcome.baseline);
         let memo = vm::lower(&outcome.transformed);
-        let base_b = run_one(&base, &input_b, vec![], Engine::Tree, None).expect("baseline");
+        let base_b = run_one(&base, &input_b, vec![], Engine::Tree).expect("baseline");
         let chains: Vec<(vm::Outcome, vm::Outcome)> = ENGINES
             .iter()
             .map(|&e| run_chained(&memo, &outcome, &input_a, &input_b, e))
@@ -494,8 +339,7 @@ proptest! {
             &PipelineConfig {
                 profile_input: profile.clone(),
                 min_exec: 8,
-                engine: Engine::Specialized,
-                ..PipelineConfig::default()
+                    ..PipelineConfig::default()
             },
         )
         .expect("pipeline (profile input is trap-free)");
