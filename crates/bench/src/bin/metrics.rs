@@ -104,9 +104,8 @@
 //! warm-restart suite — a cold round, a warm round, a snapshot, a
 //! simulated restart + restore, and a restored round, each reported as a
 //! decile hit-ratio curve alongside the deterministic TinyLFU admission
-//! A/B microbench. `--admission` enables sketch-gated L2 admission in the
-//! service itself; `--l1-slots N` sizes the per-worker L1 front (0
-//! disables tiering). `--assert-warm-restart` is the CI gate: exit
+//! A/B microbench. `--admission` enables sketch-gated admission in the
+//! service itself. `--assert-warm-restart` is the CI gate: exit
 //! nonzero unless the snapshot restored, every request fingerprinted
 //! identically to the sequential baseline, the restored service reached
 //! the warm first-decile hit ratio within its first 10% of requests, the
@@ -504,7 +503,6 @@ fn main() {
     let mut snapshot_in: Option<PathBuf> = None;
     let mut assert_warm_restart = false;
     let mut admission = false;
-    let mut l1_slots: Option<usize> = None;
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -600,14 +598,6 @@ fn main() {
             }
             "--assert-warm-restart" => assert_warm_restart = true,
             "--admission" => admission = true,
-            "--l1-slots" => {
-                i += 1;
-                l1_slots = Some(
-                    argv.get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--l1-slots needs an integer (0 disables L1)")),
-                );
-            }
             "--scale" => {
                 i += 1;
                 scale = argv
@@ -665,7 +655,7 @@ fn main() {
         } else {
             vec![workloads::by_name(&name).unwrap_or_else(|| panic!("unknown workload {name}"))]
         };
-        let mut opts = ServeOpts {
+        let opts = ServeOpts {
             scale,
             opt,
             shards,
@@ -677,9 +667,6 @@ fn main() {
             admission,
             ..ServeOpts::default()
         };
-        if let Some(slots) = l1_slots {
-            opts.l1_slots = slots;
-        }
         let sweep = sweep_workers.unwrap_or_else(|| vec![workers]);
         if assert_warm_restart || snapshot_out.is_some() || snapshot_in.is_some() {
             // --serve with snapshot flags: the warm-restart suite — cold

@@ -1010,7 +1010,7 @@ pub fn warm_restart_json(s: &crate::serve::WarmRestartSummary) -> String {
     format!(
         concat!(
             "{{\"bench\":\"warm_restart\",\"scale\":{},\"opt\":\"{:?}\",",
-            "\"shards\":{},\"workers\":{},\"requests\":{},\"l1_slots\":{},",
+            "\"shards\":{},\"workers\":{},\"requests\":{},",
             "\"admission\":{},\"snapshot_bytes\":{},\"restore_ok\":{},",
             "\"matches_baseline\":{},\"tolerance\":{},\"gate_holds\":{},",
             "\"workloads\":[{}],\"cold\":{},\"warm\":{},\"restored\":{}}}"
@@ -1020,7 +1020,6 @@ pub fn warm_restart_json(s: &crate::serve::WarmRestartSummary) -> String {
         s.opts.shards,
         s.workers,
         s.requests,
-        s.opts.l1_slots,
         s.opts.admission,
         s.snapshot_bytes,
         s.restore_ok,

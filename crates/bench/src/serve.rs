@@ -50,8 +50,6 @@ pub struct ServeOpts {
     pub deadline_cycles: Option<u64>,
     /// Queue-depth high watermark at which the producer sheds load.
     pub high_watermark: Option<usize>,
-    /// Per-worker L1 cache slots per table (`0` disables tiering).
-    pub l1_slots: usize,
     /// Whether the stores gate recordings through TinyLFU admission.
     pub admission: bool,
 }
@@ -68,7 +66,6 @@ impl Default for ServeOpts {
             fault_rate: 0.1,
             deadline_cycles: None,
             high_watermark: None,
-            l1_slots: 64,
             admission: false,
         }
     }
@@ -163,7 +160,6 @@ pub fn build_service(
             // without changing any outcome.
             backoff_base_ns: 2_000,
             backoff_cap_ns: 200_000,
-            l1_slots: opts.l1_slots,
             admission: opts.admission,
             ..ServiceConfig::default()
         },

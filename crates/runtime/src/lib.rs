@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod admission;
 pub mod direct;
 pub mod faults;
 pub mod guard;
@@ -43,8 +44,8 @@ pub mod persist;
 pub mod sharded;
 pub mod stats;
 pub mod telemetry;
-pub mod tiered;
 
+pub use admission::{key_hash64, TinyLfu};
 pub use direct::DirectTable;
 pub use faults::{
     silence_injected_panics, FailPoint, FaultCounters, FaultPlan, FAIL_POINT_COUNT,
@@ -60,7 +61,6 @@ pub use persist::{
 pub use sharded::ShardedTable;
 pub use stats::TableStats;
 pub use telemetry::{EpochStats, StateTransition, Telemetry};
-pub use tiered::{key_hash64, L1Cache, TinyLfu};
 
 /// Probe-time dependency-fingerprint validator (DESIGN.md §8g): given an
 /// entry's recorded fingerprint, decide whether its dependencies still

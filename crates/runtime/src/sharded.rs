@@ -72,11 +72,11 @@ use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use crate::admission::{key_hash64, TinyLfu};
 use crate::faults::{FailPoint, FaultPlan, INJECTED_POISON_PANIC};
 use crate::guard::{GuardPolicy, TableState};
 use crate::hash::hash_words;
 use crate::stats::TableStats;
-use crate::tiered::{key_hash64, TinyLfu};
 use crate::{FpValidator, MemoTable, SpecError, TableSpec};
 
 /// Optimistic probe attempts before giving up and taking the shard lock.

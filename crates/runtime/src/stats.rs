@@ -36,12 +36,13 @@ pub struct TableStats {
     /// writer) and had to retry or fall back to the shard lock. Not an
     /// access: the probe is counted once, at its final resolution.
     pub optimistic_retries: u64,
-    /// Subset of `hits` answered from a per-worker L1 front cache without
-    /// touching the shared L2 store (DESIGN.md §8i). Always zero for
-    /// untiered configurations.
+    /// Retired: hits of the deleted per-worker L1 front cache
+    /// (DESIGN.md §8i). Always 0. Kept only because the benchmark package
+    /// reads it and the snapshot layout stores it (word 10).
     pub l1_hits: u64,
-    /// Entries copied from the L2 store into an L1 front cache after
-    /// repeated L2 hits on the same key (DESIGN.md §8i).
+    /// Retired: promotions into the deleted per-worker L1 front cache
+    /// (DESIGN.md §8i). Always 0. Kept only because the benchmark package
+    /// reads it and the snapshot layout stores it (word 11).
     pub promotions: u64,
     /// Recordings the TinyLFU admission sketch refused because the
     /// candidate key's estimated frequency did not exceed the resident

@@ -82,7 +82,7 @@ use memo_runtime::{
     FailPoint, FaultCounters, FaultPlan, GuardPolicy, MemoTable, ShardedTable, SnapshotError,
     SpecError, TableSpec, TableState, TableStats,
 };
-use vm::{CostModel, L1Cache, Module, RunConfig};
+use vm::{CostModel, Module, RunConfig};
 
 pub use fingerprint::fingerprint_outcome;
 pub use histogram::LatencyHistogram;
@@ -161,12 +161,6 @@ pub struct ServiceConfig {
     /// are identical either way (DESIGN.md §8e/§8g); only the hit ratio
     /// and cycle ledger move.
     pub validate: bool,
-    /// Per-worker L1 cache slots per table (DESIGN.md §8i); `0` disables
-    /// tiering and workers probe the shared store directly. L1 caches are
-    /// per batch: their `l1_hits`/`promotions` are folded into the batch's
-    /// [`ServiceReport::store_delta`] (not the cumulative
-    /// [`ReuseService::store_stats`], which tracks the shared store only).
-    pub l1_slots: usize,
     /// Whether the stores gate recordings through the TinyLFU admission
     /// sketch (DESIGN.md §8i): a new key must look more frequent than the
     /// resident it would evict, so one-shot keys stop churning hot
@@ -192,7 +186,6 @@ impl Default for ServiceConfig {
             high_watermark: None,
             low_watermark: 0,
             validate: true,
-            l1_slots: 64,
             admission: false,
         }
     }
@@ -325,8 +318,9 @@ pub struct ServiceReport {
     /// Requests *executed* per worker (shed/exhausted requests reached no
     /// worker and are not counted).
     pub per_worker: Vec<u64>,
-    /// Aggregate store statistics accumulated by *this batch* (delta over
-    /// the run; the store itself keeps accumulating across batches).
+    /// Aggregate store statistics accumulated by *this batch*: exactly the
+    /// change in [`ReuseService::store_stats`] over the run (the store
+    /// itself keeps accumulating across batches).
     pub store_delta: TableStats,
     /// Per-program store-statistics deltas for this batch, in program
     /// index order (the green/red breakdown per workload; sums to
@@ -673,10 +667,6 @@ impl ReuseService {
         let queue: BoundedQueue<usize> =
             BoundedQueue::with_faults(self.config.queue_capacity, self.config.faults.clone());
         let results: Mutex<Vec<Option<RequestResult>>> = Mutex::new(vec![None; requests.len()]);
-        // Per-program L1 statistics accumulated by the workers (the caches
-        // themselves are per worker and die with the batch).
-        let l1_acc: Mutex<Vec<TableStats>> =
-            Mutex::new(vec![TableStats::default(); self.programs.len()]);
         let before = self.per_program_stats();
         let faults_before = self.config.faults.as_ref().map(|p| p.counters());
         let mut push_retries = 0u64;
@@ -686,17 +676,11 @@ impl ReuseService {
             for w in 0..workers {
                 let queue = &queue;
                 let results = &results;
-                let l1_acc = &l1_acc;
                 s.spawn(move || {
                     // One lazily-filled bytecode cache per worker: each
                     // program is compiled at most once per worker, then
-                    // every request for it reuses the bytecode. The L1
-                    // tier is per worker per program too, built on first
-                    // use and carried across this worker's requests so
-                    // promotions pay off within the batch.
+                    // every request for it reuses the bytecode.
                     let mut compiled: Vec<Option<vm::Precompiled<'_>>> =
-                        (0..self.programs.len()).map(|_| None).collect();
-                    let mut l1_sets: Vec<Option<Vec<L1Cache>>> =
                         (0..self.programs.len()).map(|_| None).collect();
                     while let Some(idx) = queue.pop() {
                         let req = &requests[idx];
@@ -704,24 +688,8 @@ impl ReuseService {
                         let pre = compiled[req.program].get_or_insert_with(|| {
                             vm::precompile(&rt.program.module, &self.config.cost)
                         });
-                        let l1 = if self.config.l1_slots > 0 {
-                            Some(
-                                l1_sets[req.program]
-                                    .take()
-                                    .unwrap_or_else(|| build_l1(&rt.program, self.config.l1_slots)),
-                            )
-                        } else {
-                            None
-                        };
-                        let (record, l1) = self.serve_one(idx, req, rt, pre, w, l1);
-                        l1_sets[req.program] = l1;
+                        let record = self.serve_one(idx, req, rt, pre, w);
                         recover(results.lock())[idx] = Some(record);
-                    }
-                    let mut acc = recover(l1_acc.lock());
-                    for (p, set) in l1_sets.iter().enumerate() {
-                        for cache in set.iter().flatten() {
-                            acc[p].merge(cache.stats());
-                        }
                     }
                 });
             }
@@ -797,19 +765,10 @@ impl ReuseService {
         });
         let wall_seconds = t0.elapsed().as_secs_f64();
         let after = self.per_program_stats();
-        // L1 probes that hit never reach the shared store, so the batch's
-        // true traffic is the store delta plus the workers' L1 counters
-        // (summing the tiers counts every probe exactly once).
-        let l1_totals = recover(l1_acc.into_inner());
         let per_program_delta: Vec<TableStats> = after
             .iter()
             .zip(&before)
-            .zip(&l1_totals)
-            .map(|((a, b), l1)| {
-                let mut d = a.delta_since(b);
-                d.merge(l1);
-                d
-            })
+            .map(|(a, b)| a.delta_since(b))
             .collect();
         let mut store_delta = TableStats::default();
         for d in &per_program_delta {
@@ -860,10 +819,7 @@ impl ReuseService {
     }
 
     /// Runs one request on a worker thread: retry loop for poisoned-shard
-    /// faults, slow-request penalty, then the deadline checks. The
-    /// worker's L1 tier rides through the run and comes back with the
-    /// result (`None` after a trap — the aborted machine dropped it; the
-    /// worker rebuilds an empty tier on the next request).
+    /// faults, slow-request penalty, then the deadline checks.
     fn serve_one(
         &self,
         idx: usize,
@@ -871,8 +827,7 @@ impl ReuseService {
         rt: &ProgramRt,
         pre: &vm::Precompiled<'_>,
         worker: usize,
-        mut l1: Option<Vec<L1Cache>>,
-    ) -> (RequestResult, Option<Vec<L1Cache>>) {
+    ) -> RequestResult {
         let start = Instant::now();
         let mut failed_attempts = 0u32;
         let outcome = loop {
@@ -896,25 +851,17 @@ impl ReuseService {
                     continue;
                 }
             }
-            let mut config = self.run_config_for(req, Some(Arc::clone(&rt.store)));
-            config.l1 = l1.take();
-            let mut result = vm::run_precompiled(&rt.program.module, pre, config);
-            if let Ok(o) = &mut result {
-                l1 = o.l1.take();
-            }
-            break Some(result);
+            let config = self.run_config_for(req, Some(Arc::clone(&rt.store)));
+            break Some(vm::run_precompiled(&rt.program.module, pre, config));
         };
         let latency_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         let Some(outcome) = outcome else {
-            return (
-                unserved(
-                    idx,
-                    req.program,
-                    RequestStatus::Exhausted,
-                    latency_ns,
-                    self.config.max_retries,
-                ),
-                l1,
+            return unserved(
+                idx,
+                req.program,
+                RequestStatus::Exhausted,
+                latency_ns,
+                self.config.max_retries,
             );
         };
         let cycles = outcome.as_ref().map_or(0, |o| o.cycles);
@@ -936,20 +883,17 @@ impl ReuseService {
         } else {
             RequestStatus::Ok
         };
-        (
-            RequestResult {
-                request: idx,
-                program: req.program,
-                worker,
-                fingerprint: fingerprint_outcome(&outcome),
-                cycles,
-                latency_ns,
-                trapped: outcome.is_err(),
-                status,
-                retries: failed_attempts,
-            },
-            l1,
-        )
+        RequestResult {
+            request: idx,
+            program: req.program,
+            worker,
+            fingerprint: fingerprint_outcome(&outcome),
+            cycles,
+            latency_ns,
+            trapped: outcome.is_err(),
+            status,
+            retries: failed_attempts,
+        }
     }
 
     /// Applies `f` to every sharded table of every program.
@@ -1064,23 +1008,6 @@ fn build_store(p: &ServiceProgram, config: &ServiceConfig) -> Result<Vec<Sharded
                 }
             }
             Ok(t)
-        })
-        .collect()
-}
-
-/// Builds one worker's L1 tier for a program: one cache per table, with
-/// the program's dependency-fingerprint widths deciding which segments
-/// are cacheable (fingerprinted segments never are; DESIGN.md §8i).
-fn build_l1(p: &ServiceProgram, l1_slots: usize) -> Vec<L1Cache> {
-    p.specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| {
-            let deps = match p.table_deps.get(i) {
-                Some(d) if !d.is_empty() => d.clone(),
-                _ => vec![0; spec.out_words.len()],
-            };
-            L1Cache::new(l1_slots, spec, &deps)
         })
         .collect()
 }
@@ -1368,47 +1295,31 @@ mod tests {
     }
 
     #[test]
-    fn tiered_workers_report_l1_hits_and_match_the_baseline() {
+    fn batch_store_delta_is_exactly_the_store_delta() {
         let svc = ReuseService::new(
             vec![memoized_program("work")],
             ServiceConfig {
                 workers: 2,
-                l1_slots: 128,
                 ..ServiceConfig::default()
             },
         )
         .expect("valid specs");
         let requests = mix(24);
         let baseline = svc.run_private_sequential(&requests);
-        svc.run(&requests); // warm the store so L2 hits can promote
+        svc.run(&requests); // warm the store
+        let before = svc.store_stats();
         let warm = svc.run(&requests);
+        assert_eq!(
+            warm.store_delta,
+            svc.store_stats().delta_since(&before),
+            "the batch reports exactly the traffic the store saw"
+        );
+        let mut summed = TableStats::default();
+        for d in &warm.per_program_delta {
+            summed.merge(d);
+        }
+        assert_eq!(summed, warm.store_delta, "per-program deltas sum to it");
         assert_eq!(warm.fingerprints(), baseline.fingerprints());
-        assert!(
-            warm.store_delta.l1_hits > 0,
-            "a warm tiered batch must answer some probes from the L1: {:?}",
-            warm.store_delta
-        );
-        assert!(warm.store_delta.promotions > 0);
-        assert!(
-            warm.store_delta.hits >= warm.store_delta.l1_hits,
-            "l1_hits is a subset of hits"
-        );
-    }
-
-    #[test]
-    fn untiered_runs_report_no_l1_traffic() {
-        let svc = ReuseService::new(
-            vec![memoized_program("work")],
-            ServiceConfig {
-                workers: 2,
-                l1_slots: 0,
-                ..ServiceConfig::default()
-            },
-        )
-        .expect("valid specs");
-        let report = svc.run(&mix(8));
-        assert_eq!(report.store_delta.l1_hits, 0);
-        assert_eq!(report.store_delta.promotions, 0);
     }
 
     #[test]

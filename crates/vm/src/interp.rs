@@ -17,7 +17,7 @@ use crate::lower::{
 use crate::profile::{ProfileData, SegProfile};
 use crate::tables::TableHandles;
 use crate::value::{PrintVal, Trap, Value};
-use memo_runtime::{L1Cache, MemoTable, ShardedTable, TableState};
+use memo_runtime::{MemoTable, ShardedTable, TableState};
 use minic::ast::{BinOp, UnOp};
 use minic::sema::Builtin;
 use std::sync::Arc;
@@ -67,13 +67,6 @@ pub struct RunConfig {
     /// store. Program results are identical either way; cycle counts and
     /// hit rates depend on the store's contents (DESIGN.md §8e).
     pub shared_tables: Option<Arc<Vec<ShardedTable>>>,
-    /// Optional per-run L1 caches fronting `shared_tables` (one per
-    /// table; requires `shared_tables`). Fingerprint-free probes try the
-    /// direct-mapped L1 before the sharded L2, repeated L2 hits promote
-    /// entries, and records write through (DESIGN.md §8i). The caches
-    /// come back in [`Outcome::l1`] so a worker can reuse them — and
-    /// their hit statistics — across runs.
-    pub l1: Option<Vec<L1Cache>>,
     /// Stack region size in cells.
     pub stack_cells: usize,
     /// Abort after this many cycles (runaway guard).
@@ -106,7 +99,6 @@ impl Default for RunConfig {
             input: Vec::new(),
             tables: Vec::new(),
             shared_tables: None,
-            l1: None,
             stack_cells: 1 << 20,
             max_cycles: u64::MAX,
             max_depth: 4096,
@@ -139,9 +131,6 @@ pub struct Outcome {
     pub branch_counts: Vec<u64>,
     /// The memo tables after the run (for stats and access histograms).
     pub tables: Vec<MemoTable>,
-    /// The L1 caches after a tiered run ([`RunConfig::l1`]); `None`
-    /// otherwise. Statistics accumulate across runs that reuse them.
-    pub l1: Option<Vec<L1Cache>>,
     /// Value-set profiles, if the module contained probes.
     pub profile: Option<ProfileData>,
 }
@@ -226,12 +215,8 @@ fn run_on_current_thread(module: &Module, config: RunConfig) -> Result<Outcome, 
 
     let profiler = make_profiler(module);
 
-    let tables = crate::tables::take_handles(
-        config.tables,
-        config.shared_tables,
-        config.l1,
-        module.table_count,
-    );
+    let tables =
+        crate::tables::take_handles(config.tables, config.shared_tables, module.table_count);
 
     let mut m = Machine {
         module,
@@ -269,7 +254,6 @@ fn run_on_current_thread(module: &Module, config: RunConfig) -> Result<Outcome, 
         _ => 0,
     };
     let energy = config.energy.energy_joules(m.cycles, m.table_words);
-    let (tables, l1) = m.tables.into_parts();
     Ok(Outcome {
         output: m.output,
         ret,
@@ -280,8 +264,7 @@ fn run_on_current_thread(module: &Module, config: RunConfig) -> Result<Outcome, 
         func_calls: m.func_calls,
         loop_counts: m.loop_counts,
         branch_counts: m.branch_counts,
-        tables,
-        l1,
+        tables: m.tables.into_tables(),
         profile: m.profiler,
     })
 }

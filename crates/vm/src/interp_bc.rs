@@ -158,12 +158,8 @@ pub(crate) fn run_bc(
 
     let profiler = make_profiler(module);
 
-    let tables = crate::tables::take_handles(
-        config.tables,
-        config.shared_tables,
-        config.l1,
-        module.table_count,
-    );
+    let tables =
+        crate::tables::take_handles(config.tables, config.shared_tables, module.table_count);
 
     let mut m = BcMachine {
         module,
@@ -205,7 +201,6 @@ pub(crate) fn run_bc(
         _ => 0,
     };
     let energy = config.energy.energy_joules(m.cycles, m.table_words);
-    let (tables, l1) = m.tables.into_parts();
     Ok(Outcome {
         output: m.output,
         ret,
@@ -216,8 +211,7 @@ pub(crate) fn run_bc(
         func_calls: m.func_calls,
         loop_counts: m.loop_counts,
         branch_counts: m.branch_counts,
-        tables,
-        l1,
+        tables: m.tables.into_tables(),
         profile: m.profiler,
     })
 }

@@ -46,7 +46,6 @@ pub use cost::{CostModel, OptLevel};
 pub use energy::EnergyModel;
 pub use interp::{run, Engine, Outcome, RunConfig};
 pub use lower::{lower, Module};
-pub use memo_runtime::L1Cache;
 pub use profile::{ProfileData, SegProfile};
 pub use tables::TableHandles;
 pub use value::{PrintVal, Trap, Value};

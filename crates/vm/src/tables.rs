@@ -27,7 +27,7 @@
 
 use std::sync::Arc;
 
-use memo_runtime::{FpValidator, L1Cache, MemoTable, ShardedTable, TableState};
+use memo_runtime::{FpValidator, MemoTable, ShardedTable, TableState};
 
 /// The set of reuse tables a run probes, indexed by the module's table ids.
 #[derive(Debug)]
@@ -36,17 +36,6 @@ pub enum TableHandles {
     Private(Vec<MemoTable>),
     /// A shared concurrent store; statistics stay in the store.
     Shared(Arc<Vec<ShardedTable>>),
-    /// A shared store fronted by run-private L1 caches (DESIGN.md §8i):
-    /// each probe of a fingerprint-free segment tries the direct-mapped
-    /// L1 first and falls through to the sharded L2; repeated L2 hits
-    /// promote the entry. Fingerprinted segments and forced-red probes
-    /// always route to the L2, so the red/green contract is unchanged.
-    Tiered {
-        /// Per-table L1 caches, returned in the [`crate::Outcome`].
-        l1: Vec<L1Cache>,
-        /// The shared L2 store, as in [`TableHandles::Shared`].
-        l2: Arc<Vec<ShardedTable>>,
-    },
 }
 
 /// Resolves a run's table configuration to its handles, checking the
@@ -54,23 +43,11 @@ pub enum TableHandles {
 pub(crate) fn take_handles(
     tables: Vec<MemoTable>,
     shared: Option<Arc<Vec<ShardedTable>>>,
-    l1: Option<Vec<L1Cache>>,
     table_count: usize,
 ) -> TableHandles {
-    let handles = match (shared, l1) {
-        (Some(store), Some(l1)) => {
-            assert_eq!(
-                l1.len(),
-                store.len(),
-                "one L1 cache per shared table is required"
-            );
-            TableHandles::Tiered { l1, l2: store }
-        }
-        (Some(store), None) => TableHandles::Shared(store),
-        (None, l1) => {
-            assert!(l1.is_none(), "an L1 tier requires a shared L2 store");
-            TableHandles::Private(tables)
-        }
+    let handles = match shared {
+        Some(store) => TableHandles::Shared(store),
+        None => TableHandles::Private(tables),
     };
     assert!(
         handles.len() >= table_count,
@@ -87,7 +64,6 @@ impl TableHandles {
         match self {
             TableHandles::Private(t) => t.len(),
             TableHandles::Shared(t) => t.len(),
-            TableHandles::Tiered { l2, .. } => l2.len(),
         }
     }
 
@@ -102,7 +78,7 @@ impl TableHandles {
     pub(crate) fn state(&self, idx: usize) -> TableState {
         match self {
             TableHandles::Private(t) => t[idx].state(),
-            TableHandles::Shared(_) | TableHandles::Tiered { .. } => TableState::Active,
+            TableHandles::Shared(_) => TableState::Active,
         }
     }
 
@@ -117,20 +93,6 @@ impl TableHandles {
         match self {
             TableHandles::Private(t) => t[idx].lookup(slot, key, out),
             TableHandles::Shared(t) => t[idx].lookup(slot, key, out),
-            TableHandles::Tiered { l1, l2 } => {
-                if l1[idx].cacheable(slot) {
-                    if l1[idx].probe(slot, key, out) {
-                        return true;
-                    }
-                    let hit = l2[idx].lookup(slot, key, out);
-                    if hit {
-                        l1[idx].note_l2_hit(slot, key, out);
-                    }
-                    hit
-                } else {
-                    l2[idx].lookup(slot, key, out)
-                }
-            }
         }
     }
 
@@ -148,23 +110,6 @@ impl TableHandles {
         match self {
             TableHandles::Private(t) => t[idx].lookup_dep(slot, key, out, green, validate),
             TableHandles::Shared(t) => t[idx].lookup_dep(slot, key, out, green, validate),
-            TableHandles::Tiered { l1, l2 } => {
-                // A forced-red probe (green, no validator) must answer
-                // miss even for a resident entry — only the L2 implements
-                // that rule, so the L1 may not short-circuit it.
-                let forced_red = green && validate.is_none();
-                if forced_red || !l1[idx].cacheable(slot) {
-                    return l2[idx].lookup_dep(slot, key, out, green, validate);
-                }
-                if l1[idx].probe(slot, key, out) {
-                    return true;
-                }
-                let hit = l2[idx].lookup_dep(slot, key, out, green, validate);
-                if hit {
-                    l1[idx].note_l2_hit(slot, key, out);
-                }
-                hit
-            }
         }
     }
 
@@ -181,24 +126,15 @@ impl TableHandles {
         match self {
             TableHandles::Private(t) => t[idx].record_dep(slot, key, outputs, fp),
             TableHandles::Shared(t) => t[idx].record_dep(slot, key, outputs, fp),
-            TableHandles::Tiered { l1, l2 } => {
-                l2[idx].record_dep(slot, key, outputs, fp);
-                if fp.is_empty() && l1[idx].cacheable(slot) {
-                    l1[idx].write_through(slot, key, outputs);
-                }
-            }
         }
     }
 
-    /// Decomposes the handles into the run-private pieces returned in the
-    /// [`crate::Outcome`]: private tables (empty for shared stores — their
-    /// statistics live in the store) and the L1 tier (present only for
-    /// [`TableHandles::Tiered`] runs).
-    pub(crate) fn into_parts(self) -> (Vec<MemoTable>, Option<Vec<L1Cache>>) {
+    /// The private tables, for the [`crate::Outcome`]; empty for shared
+    /// stores (their statistics live in the store, not the run).
+    pub(crate) fn into_tables(self) -> Vec<MemoTable> {
         match self {
-            TableHandles::Private(t) => (t, None),
-            TableHandles::Shared(_) => (Vec::new(), None),
-            TableHandles::Tiered { l1, .. } => (Vec::new(), Some(l1)),
+            TableHandles::Private(t) => t,
+            TableHandles::Shared(_) => Vec::new(),
         }
     }
 }
