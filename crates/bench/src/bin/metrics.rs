@@ -47,23 +47,6 @@
 //!     --sweep-workers 1,2,4 --shards 8 --assert-serve-speedup
 //! ```
 //!
-//! `--contend` replaces the report with the shared-store contention
-//! microbench (DESIGN.md §8h): per `--sweep-workers` point, reader
-//! threads hammer a hot key set on one `ShardedTable` while interleaved
-//! writers re-record and evict, and every hit payload is verified
-//! against the recorded value (a mismatch is a torn read and fails the
-//! run). The JSON report carries `optimistic_hits` /
-//! `optimistic_retries` per point. `--shards` and `--requests` (ops per
-//! thread, in thousands) apply; with `--assert-serve-speedup` the gate
-//! requires monotone throughput across the sweep — or exits 3
-//! (inconclusive) when the host has fewer CPUs than the highest thread
-//! count.
-//!
-//! ```text
-//! cargo run --release -p bench --bin metrics -- --contend \
-//!     --sweep-workers 1,2,4 --shards 8 --assert-serve-speedup
-//! ```
-//!
 //! Chaos flags (with `--serve`): `--fault-plan <seed>` installs a
 //! deterministic fault plan firing every fail point at `--fault-rate`
 //! (default 0.1); `--deadline-cycles N` and `--high-watermark N` set the
@@ -119,7 +102,6 @@
 
 use std::path::PathBuf;
 
-use bench::contend::{run_contend, ContendOpts};
 use bench::reports::EngineBenchRow;
 use bench::runner::{execute, execute_with_tables, prepare_with, InputKind, PrepareOpts};
 use bench::serve::{run_serve, run_serve_ab, run_warm_restart, ServeOpts};
@@ -415,67 +397,6 @@ fn serve_mode(
     }
 }
 
-/// Runs the contention microbench (`--contend`) and applies the optional
-/// monotone-throughput gate. Torn reads or a lossy shard-stats merge fail
-/// the run unconditionally; the throughput gate additionally requires
-/// every sweep step to keep at least 95% of the previous point's
-/// throughput (absorbing scheduler jitter) and the last point to beat
-/// the first outright — or exits 3 (inconclusive) when the host has
-/// fewer CPUs than the highest thread count.
-fn contend_mode(opts: &ContendOpts, sweep: &[usize], assert_speedup: bool) {
-    let summary = run_contend(opts, sweep);
-    println!("{}", bench::reports::contend_report_json(&summary));
-    if !summary.no_torn_reads() {
-        eprintln!("contend: a hit returned a torn payload");
-        std::process::exit(1);
-    }
-    if summary.points.iter().any(|p| !p.shard_merge_ok) {
-        eprintln!("contend: per-shard statistics did not merge losslessly");
-        std::process::exit(1);
-    }
-    if assert_speedup {
-        let max_threads = sweep.iter().copied().max().unwrap_or(1);
-        if sweep.len() < 2 {
-            eprintln!("--assert-serve-speedup needs a sweep with at least two thread counts");
-            std::process::exit(1);
-        }
-        if summary.cpus < max_threads {
-            eprintln!(
-                "contend: throughput gate inconclusive: {} cpus < {} threads",
-                summary.cpus, max_threads
-            );
-            std::process::exit(EXIT_INCONCLUSIVE);
-        }
-        for pair in summary.points.windows(2) {
-            if pair[1].throughput_ops < pair[0].throughput_ops * 0.95 {
-                eprintln!(
-                    "contend: throughput fell {} -> {} threads: {:.0} -> {:.0} ops/s",
-                    pair[0].threads,
-                    pair[1].threads,
-                    pair[0].throughput_ops,
-                    pair[1].throughput_ops
-                );
-                std::process::exit(1);
-            }
-        }
-        let (first, last) = (
-            &summary.points[0],
-            &summary.points[summary.points.len() - 1],
-        );
-        if last.throughput_ops <= first.throughput_ops {
-            eprintln!(
-                "contend: {} threads not faster than {}: {:.0} vs {:.0} ops/s ({} cpus)",
-                last.threads,
-                first.threads,
-                last.throughput_ops,
-                first.throughput_ops,
-                summary.cpus
-            );
-            std::process::exit(1);
-        }
-    }
-}
-
 fn main() {
     let mut name = "G721_encode".to_string();
     let mut name_set = false;
@@ -487,7 +408,6 @@ fn main() {
     let mut bench_mode = false;
     let mut assert_faster = false;
     let mut serve = false;
-    let mut contend = false;
     let mut workers = 4usize;
     let mut shards = 8usize;
     let mut requests_per_workload = 4usize;
@@ -508,7 +428,6 @@ fn main() {
     while i < argv.len() {
         match argv[i].as_str() {
             "--serve" => serve = true,
-            "--contend" => contend = true,
             "--workers" => {
                 i += 1;
                 workers = argv
@@ -632,19 +551,6 @@ fn main() {
             other => panic!("unknown flag {other}"),
         }
         i += 1;
-    }
-
-    if contend {
-        let opts = ContendOpts {
-            shards,
-            // --requests rides along as thousands of ops per thread, so
-            // the serve and contend sweeps share a CLI vocabulary.
-            ops_per_thread: requests_per_workload.max(1) * 25_000,
-            ..ContendOpts::default()
-        };
-        let sweep = sweep_workers.unwrap_or_else(|| vec![workers]);
-        contend_mode(&opts, &sweep, assert_serve_speedup);
-        return;
     }
 
     if serve {

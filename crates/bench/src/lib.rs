@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod contend;
 pub mod fmt;
 pub mod json;
 pub mod reports;

@@ -1071,51 +1071,6 @@ pub fn admission_ab_json(ab: &crate::admission::AdmissionAb) -> String {
     )
 }
 
-/// Serialises a [`crate::contend::ContendSummary`] — the shared-store
-/// contention microbench (`metrics --contend`). Each point reports wall
-/// time, aggregate throughput, the torn-read count (must be 0), and the
-/// merged store statistics including `optimistic_hits` and
-/// `optimistic_retries` (DESIGN.md §8h).
-pub fn contend_report_json(s: &crate::contend::ContendSummary) -> String {
-    let points: Vec<String> = s
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "{{\"threads\":{},\"wall_seconds\":{:.6},\"ops\":{},",
-                    "\"throughput_ops\":{:.1},\"hits\":{},\"misses\":{},",
-                    "\"torn\":{},\"shard_merge_ok\":{},\"stats\":{}}}"
-                ),
-                p.threads,
-                p.wall_seconds,
-                p.ops,
-                p.throughput_ops,
-                p.hits,
-                p.misses,
-                p.torn,
-                p.shard_merge_ok,
-                json_stats(&p.stats),
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"bench\":\"contend\",\"slots\":{},\"shards\":{},\"hot_keys\":{},",
-            "\"ops_per_thread\":{},\"write_every\":{},\"cpus\":{},",
-            "\"no_torn_reads\":{},\"sweep\":[{}]}}"
-        ),
-        s.opts.slots,
-        s.opts.shards,
-        s.opts.hot_keys,
-        s.opts.ops_per_thread,
-        s.opts.write_every,
-        s.cpus,
-        s.no_torn_reads(),
-        points.join(","),
-    )
-}
-
 /// Serialises a [`crate::serve::AbSummary`] — the perturbed-input A/B
 /// benchmark (`metrics --serve --alt`). Each point reports both arms'
 /// cold and warm rounds; `hit_lift` is arm B's warm hit ratio minus arm

@@ -11,14 +11,10 @@
 //! Entries live in two flat buffers instead of per-entry boxes: `meta`
 //! holds one occupancy/fingerprint-length word per slot and `data` holds
 //! the entry bodies at a fixed stride (`key ++ outputs ++ fingerprint
-//! capacity`). Nothing is allocated or freed per recording, which is what
-//! makes the optimistic shared probe ([`DirectTable::probe_shared`])
-//! sound: a racing writer can overwrite words in place but can never make
-//! a reader's pointer dangle. Once [`DirectTable::freeze_geometry`] is
-//! called the buffers never move again (resizes and record-time
-//! fingerprint growth are forbidden), so lock-free readers only ever read
-//! stable, in-bounds memory and rely on the caller's version-word
-//! protocol (see `sharded.rs`) to discard torn snapshots.
+//! capacity`). Nothing is allocated or freed per recording: a recording
+//! overwrites its slot's words in place. The buffers are rebuilt only by
+//! [`DirectTable::resize`] and when a fingerprint wider than any before
+//! grows the per-entry capacity.
 
 use crate::hash::index_of;
 use crate::stats::TableStats;
@@ -37,11 +33,8 @@ pub struct DirectTable {
     data: Vec<u64>,
     key_words: usize,
     out_words: usize,
-    /// Fingerprint capacity per entry (grown on demand until frozen).
+    /// Fingerprint capacity per entry (grown on demand).
     fp_cap: usize,
-    /// Geometry pinned: `data`/`meta` may be overwritten in place but
-    /// never reallocated, so shared optimistic readers stay in-bounds.
-    frozen: bool,
     stats: TableStats,
     access_counts: Vec<u64>,
 }
@@ -64,7 +57,6 @@ impl DirectTable {
             key_words,
             out_words,
             fp_cap: 0,
-            frozen: false,
             stats: TableStats::default(),
             access_counts: vec![0; slots],
         }
@@ -97,25 +89,10 @@ impl DirectTable {
         self.meta.len() * Self::entry_bytes(self.key_words, self.out_words)
     }
 
-    /// Pins the table's geometry: after this call the entry buffers are
-    /// only ever overwritten in place, never reallocated or resized.
-    /// Required before the table is probed through
-    /// [`DirectTable::probe_shared`] concurrently with writers; recordings
-    /// whose fingerprint exceeds the declared capacity
-    /// ([`DirectTable::reserve_fp_words`]) then panic instead of growing.
-    pub fn freeze_geometry(&mut self) {
-        self.frozen = true;
-    }
-
-    /// Whether [`DirectTable::freeze_geometry`] was called.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
-    }
-
     /// Ensures entries can hold fingerprints of up to `words` words,
     /// rebuilding the flat buffer if capacity grows. Build-time
-    /// configuration: call before [`DirectTable::freeze_geometry`] (or
-    /// while holding exclusive access — the buffer may reallocate).
+    /// configuration: declaring the widest fingerprint up front spares
+    /// the first wide recording the rebuild.
     pub fn reserve_fp_words(&mut self, words: usize) {
         if words > self.fp_cap {
             self.grow_fp_cap(words);
@@ -204,49 +181,6 @@ impl DirectTable {
         }
     }
 
-    /// Read-only probe for the shared optimistic path: no statistics, no
-    /// access counts, no validator. On a key match copies the outputs into
-    /// `out` and the fingerprint into `fp` (both cleared first) and returns
-    /// `true`.
-    ///
-    /// Every word is read with `read_volatile` because a writer holding
-    /// the shard lock may be overwriting the same entry concurrently; the
-    /// copies may therefore be *torn* and the caller must discard them
-    /// unless its version word is unchanged across the probe (the seqlock
-    /// protocol in `sharded.rs`). A torn `meta` word cannot read out of
-    /// bounds: the fingerprint length is clamped to the frozen capacity
-    /// and all offsets derive from frozen geometry.
-    pub fn probe_shared(&self, key: &[u64], out: &mut Vec<u64>, fp: &mut Vec<u64>) -> bool {
-        debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
-        let idx = index_of(key, self.meta.len());
-        // SAFETY: `idx < meta.len()` and all offsets below stay within
-        // `data` (stride × slots), whose length is pinned while frozen.
-        unsafe {
-            let meta = std::ptr::read_volatile(self.meta.as_ptr().add(idx));
-            if meta == 0 {
-                return false;
-            }
-            let base = self.data.as_ptr().add(idx * self.stride());
-            for (w, &kw) in key.iter().enumerate() {
-                if std::ptr::read_volatile(base.add(w)) != kw {
-                    return false;
-                }
-            }
-            out.clear();
-            for w in 0..self.out_words {
-                out.push(std::ptr::read_volatile(base.add(self.key_words + w)));
-            }
-            let fp_len = ((meta >> 1) as usize).min(self.fp_cap);
-            fp.clear();
-            for w in 0..fp_len {
-                fp.push(std::ptr::read_volatile(
-                    base.add(self.key_words + self.out_words + w),
-                ));
-            }
-        }
-        true
-    }
-
     /// Records `outputs` for `key`, replacing whatever occupied the slot.
     ///
     /// # Panics
@@ -258,23 +192,17 @@ impl DirectTable {
     }
 
     /// Records `outputs` for `key` together with a dependency fingerprint
-    /// (pass `&[]` for exact-match-only entries).
+    /// (pass `&[]` for exact-match-only entries). A fingerprint wider than
+    /// the current capacity grows every entry's capacity first.
     ///
     /// # Panics
     ///
-    /// Panics if the fingerprint exceeds the declared capacity of a frozen
-    /// table (declare widths via [`DirectTable::reserve_fp_words`] before
-    /// freezing — growing would move the buffer under optimistic readers).
+    /// In debug builds, panics if `key` or `outputs` have the wrong number
+    /// of words.
     pub fn record_dep(&mut self, key: &[u64], outputs: &[u64], fp: &[u64]) {
         debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
         debug_assert_eq!(outputs.len(), self.out_words, "output width mismatch");
         if fp.len() > self.fp_cap {
-            assert!(
-                !self.frozen,
-                "fingerprint of {} words exceeds the frozen capacity of {}",
-                fp.len(),
-                self.fp_cap
-            );
             self.grow_fp_cap(fp.len());
         }
         let idx = index_of(key, self.meta.len());
@@ -377,8 +305,7 @@ impl DirectTable {
 
     /// Drops every stored entry and zeroes the per-slot access histogram,
     /// keeping geometry and whole-run statistics. Forgetting is always
-    /// sound for a memo table; used by shard poison recovery. Works on
-    /// frozen tables: the buffers are overwritten in place, not moved.
+    /// sound for a memo table; used by shard poison recovery.
     pub fn clear(&mut self) {
         self.meta.fill(0);
         self.access_counts.fill(0);
@@ -391,10 +318,9 @@ impl DirectTable {
     ///
     /// # Panics
     ///
-    /// Panics if `new_slots` is zero or the geometry is frozen.
+    /// Panics if `new_slots` is zero.
     pub fn resize(&mut self, new_slots: usize) {
         assert!(new_slots > 0, "table must have at least one slot");
-        assert!(!self.frozen, "cannot resize a frozen table");
         let stride = self.stride();
         let old_meta = std::mem::replace(&mut self.meta, vec![0; new_slots]);
         let old_data = std::mem::replace(&mut self.data, vec![0; new_slots * stride]);
@@ -535,40 +461,19 @@ mod tests {
     }
 
     #[test]
-    fn probe_shared_matches_locked_lookup() {
-        let mut t = DirectTable::new(16, 2, 2);
-        t.reserve_fp_words(2);
-        t.freeze_geometry();
-        t.record_dep(&[1, 2], &[10, 20], &[7, 8]);
-        t.record(&[3, 4], &[30, 40]);
-        let mut out = Vec::new();
-        let mut fp = Vec::new();
-        assert!(t.probe_shared(&[1, 2], &mut out, &mut fp));
-        assert_eq!(out, vec![10, 20]);
-        assert_eq!(fp, vec![7, 8]);
-        assert!(t.probe_shared(&[3, 4], &mut out, &mut fp));
-        assert_eq!(out, vec![30, 40]);
-        assert!(fp.is_empty(), "exact-match entry has no fingerprint");
-        assert!(!t.probe_shared(&[9, 9], &mut out, &mut fp));
-        assert_eq!(t.stats().accesses, 0, "shared probes leave stats alone");
-        assert!(t.access_counts().iter().all(|&c| c == 0));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the frozen capacity")]
-    fn frozen_table_rejects_undeclared_fingerprint_growth() {
+    fn undeclared_fingerprint_width_grows_the_table() {
         let mut t = DirectTable::new(8, 1, 1);
         t.reserve_fp_words(1);
-        t.freeze_geometry();
-        t.record_dep(&[1], &[1], &[1, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot resize a frozen table")]
-    fn frozen_table_rejects_resize() {
-        let mut t = DirectTable::new(8, 1, 1);
-        t.freeze_geometry();
-        t.resize(16);
+        t.record_dep(&[1], &[10], &[1, 2]);
+        let mut out = Vec::new();
+        let mut seen = Vec::new();
+        let mut grab = |fp: &[u64]| {
+            seen = fp.to_vec();
+            true
+        };
+        assert!(t.lookup_dep(&[1], &mut out, false, Some(&mut grab)));
+        assert_eq!(out, vec![10]);
+        assert_eq!(seen, vec![1, 2]);
     }
 
     #[test]

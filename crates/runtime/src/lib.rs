@@ -30,6 +30,7 @@
 //! For a store shared by several worker threads, wrap the same specs in a
 //! [`ShardedTable`] (N power-of-two lock shards probed through `&self`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
@@ -258,25 +259,6 @@ impl TableKind {
         }
     }
 
-    fn freeze_geometry(&mut self) {
-        match self {
-            TableKind::Direct(t) => t.freeze_geometry(),
-            TableKind::Merged(t) => t.freeze_geometry(),
-            // The LRU kind reorders its entries on every access, so it has
-            // no lock-free probe path and nothing to freeze (sharded
-            // stores never build it).
-            TableKind::Lru(_) => {}
-        }
-    }
-
-    fn is_frozen(&self) -> bool {
-        match self {
-            TableKind::Direct(t) => t.is_frozen(),
-            TableKind::Merged(t) => t.is_frozen(),
-            TableKind::Lru(_) => false,
-        }
-    }
-
     fn clear(&mut self) {
         match self {
             TableKind::Direct(t) => t.clear(),
@@ -474,10 +456,9 @@ impl MemoTable {
     /// Declares that segment `slot` records an `fp_words`-word dependency
     /// fingerprint. The merged kind needs the widths ahead of time (its
     /// per-entry fingerprint groups share one buffer); the direct kind
-    /// reserves flat-buffer capacity so later recordings never reallocate
-    /// (required before [`MemoTable::freeze_geometry`]); the LRU kind
-    /// stores whatever fingerprint each recording passes. Build-time
-    /// configuration, called before the table sees traffic.
+    /// reserves flat-buffer capacity so later recordings never regrow it;
+    /// the LRU kind stores whatever fingerprint each recording passes.
+    /// Build-time configuration, called before the table sees traffic.
     pub fn set_deps(&mut self, slot: usize, fp_words: usize) {
         match &mut self.kind {
             TableKind::Merged(t) => t.set_fp_words(slot, fp_words),
@@ -487,56 +468,6 @@ impl MemoTable {
             }
             TableKind::Lru(_) => {}
         }
-    }
-
-    /// Pins the storage geometry so the flat entry buffers are only ever
-    /// overwritten in place, never reallocated: guard-driven resizes are
-    /// skipped from now on and undeclared fingerprint growth panics.
-    /// [`ShardedTable`] freezes every shard at build time — the contract
-    /// that makes its lock-free optimistic probes stay in-bounds.
-    pub fn freeze_geometry(&mut self) {
-        self.kind.freeze_geometry();
-    }
-
-    /// Read-only probe of the storage for the shared optimistic path: no
-    /// statistics, telemetry, guard, or validator involvement. Returns
-    /// `None` when the kind has no lock-free probe path (LRU) or the
-    /// geometry is not frozen; otherwise `Some(matched)`, filling `out`
-    /// and `fp` on a match. The copies may be torn — the caller must
-    /// discard them unless its shard version word is unchanged across the
-    /// probe (see `sharded.rs`).
-    pub fn probe_shared(
-        &self,
-        slot: usize,
-        key: &[u64],
-        out: &mut Vec<u64>,
-        fp: &mut Vec<u64>,
-    ) -> Option<bool> {
-        match &self.kind {
-            TableKind::Direct(t) if t.is_frozen() => {
-                debug_assert_eq!(slot, 0);
-                Some(t.probe_shared(key, out, fp))
-            }
-            TableKind::Merged(t) if t.is_frozen() => Some(t.probe_shared(slot, key, out, fp)),
-            _ => None,
-        }
-    }
-
-    /// Feeds counter increments that were resolved *outside* the lock (the
-    /// sharded store's optimistic probes) into this table's telemetry so
-    /// observation windows — and with them the adaptive guard's epoch
-    /// clock — keep advancing even when most probes never take the shard
-    /// lock. Attributed to segment 0: per-slot attribution is a documented
-    /// casualty of the lock-free path. Whole-run [`MemoTable::stats`] are
-    /// *not* touched — the sharded store folds the same counters into its
-    /// aggregates from its own atomics, and adding them here would double
-    /// count.
-    pub(crate) fn absorb_shared_delta(&mut self, delta: &TableStats) {
-        if delta.accesses == 0 {
-            return;
-        }
-        self.telemetry.observe(0, delta);
-        self.roll_epoch_if_due();
     }
 
     /// Snapshot geometry `(slots, key_words, out_words, fp_words)` used by
@@ -615,11 +546,7 @@ impl MemoTable {
             self.kind.entry_bytes(),
         );
         if let Some(new_slots) = verdict.resize_to {
-            // A frozen table's buffers must never move (optimistic readers
-            // hold no lock), so the guard's resize advice is dropped.
-            if !self.kind.is_frozen() {
-                self.kind.resize(new_slots);
-            }
+            self.kind.resize(new_slots);
         }
         let epoch = self.telemetry.close_window(self.guard.state());
         if let Some((from, to, reason)) = verdict.transition {

@@ -12,11 +12,10 @@
 //! Like [`crate::DirectTable`], entries live in flat buffers: `valid`
 //! holds one validity bit vector per slot (`0` ⇔ empty) and `data` holds
 //! the bodies at a fixed stride (`key ++ all output groups ++ all
-//! fingerprint groups`). No allocation happens per recording, so the
-//! optimistic shared probe ([`MergedTable::probe_shared`]) can read
-//! entries without the shard lock: writers overwrite words in place but
-//! never move the buffers once [`MergedTable::freeze_geometry`] pins the
-//! layout, and the caller's version word discards torn snapshots.
+//! fingerprint groups`). No allocation happens per recording: a
+//! recording overwrites its slot's words in place. The buffers are
+//! rebuilt only by [`MergedTable::resize`] and
+//! [`MergedTable::set_fp_words`].
 
 use crate::hash::index_of;
 use crate::stats::TableStats;
@@ -43,8 +42,6 @@ pub struct MergedTable {
     fp_words: Vec<usize>,
     fp_offsets: Vec<usize>,
     total_fp_words: usize,
-    /// Geometry pinned: buffers are overwritten in place, never moved.
-    frozen: bool,
     /// Aggregate counters plus per-slot counters.
     stats: TableStats,
     slot_stats: Vec<TableStats>,
@@ -82,7 +79,6 @@ impl MergedTable {
             fp_words: vec![0; out_words.len()],
             fp_offsets: vec![0; out_words.len()],
             total_fp_words: 0,
-            frozen: false,
             stats: TableStats::default(),
             slot_stats: vec![TableStats::default(); out_words.len()],
             access_counts: vec![0; slots],
@@ -96,8 +92,7 @@ impl MergedTable {
     /// Declares that segment `slot` records a dependency fingerprint of
     /// `words` words. Build-time configuration: existing entries are
     /// dropped because the per-entry fingerprint layout changes, and the
-    /// flat buffer is rebuilt (requires exclusive access — never call
-    /// while optimistic readers may be probing).
+    /// flat buffer is rebuilt.
     ///
     /// # Panics
     ///
@@ -149,17 +144,6 @@ impl MergedTable {
             .iter()
             .map(|&w| self.valid.len() * ((self.key_words + w) * 8 + 8))
             .sum()
-    }
-
-    /// Pins the table's geometry for lock-free shared probing; see
-    /// [`crate::DirectTable::freeze_geometry`].
-    pub fn freeze_geometry(&mut self) {
-        self.frozen = true;
-    }
-
-    /// Whether [`MergedTable::freeze_geometry`] was called.
-    pub fn is_frozen(&self) -> bool {
-        self.frozen
     }
 
     /// Looks `key` up for segment `slot`; on a hit (key matches *and* the
@@ -226,53 +210,6 @@ impl MergedTable {
             self.slot_stats[slot].misses += 1;
             false
         }
-    }
-
-    /// Read-only probe for the shared optimistic path: no statistics, no
-    /// access counts, no validator. On a match (key equal *and* segment
-    /// `slot`'s valid bit set) copies the slot's outputs into `out` and its
-    /// fingerprint group into `fp` (both cleared first) and returns `true`.
-    ///
-    /// Words are read with `read_volatile`; the snapshot may be torn and
-    /// must be discarded by the caller unless its version word is
-    /// unchanged across the probe (the seqlock protocol in `sharded.rs`).
-    /// All offsets derive from frozen geometry, so even a torn read stays
-    /// in-bounds.
-    pub fn probe_shared(
-        &self,
-        slot: usize,
-        key: &[u64],
-        out: &mut Vec<u64>,
-        fp: &mut Vec<u64>,
-    ) -> bool {
-        debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
-        assert!(slot < self.out_words.len(), "slot out of range");
-        let idx = index_of(key, self.valid.len());
-        // SAFETY: `idx < valid.len()` and every offset below stays within
-        // `data` (stride × slots), whose length is pinned while frozen.
-        unsafe {
-            let valid = std::ptr::read_volatile(self.valid.as_ptr().add(idx));
-            if valid >> slot & 1 == 0 {
-                return false;
-            }
-            let base = self.data.as_ptr().add(idx * self.stride());
-            for (w, &kw) in key.iter().enumerate() {
-                if std::ptr::read_volatile(base.add(w)) != kw {
-                    return false;
-                }
-            }
-            let lo = self.key_words + self.out_offsets[slot];
-            out.clear();
-            for w in 0..self.out_words[slot] {
-                out.push(std::ptr::read_volatile(base.add(lo + w)));
-            }
-            let fplo = self.key_words + self.total_out_words + self.fp_offsets[slot];
-            fp.clear();
-            for w in 0..self.fp_words[slot] {
-                fp.push(std::ptr::read_volatile(base.add(fplo + w)));
-            }
-        }
-        true
     }
 
     /// Records `outputs` for segment `slot` under `key`.
@@ -400,10 +337,6 @@ impl MergedTable {
     }
 
     /// Statistics for one segment slot.
-    ///
-    /// Shared optimistic probes (resolved without the shard lock) are
-    /// folded into the *aggregate* shard counters only; per-slot counters
-    /// see just the locked traffic.
     pub fn slot_stats(&self, slot: usize) -> &TableStats {
         &self.slot_stats[slot]
     }
@@ -416,7 +349,7 @@ impl MergedTable {
     /// Drops every stored entry and zeroes the per-slot access histogram,
     /// keeping geometry and whole-run statistics (aggregate and per-slot).
     /// Forgetting is always sound for a memo table; used by shard poison
-    /// recovery. Works on frozen tables: buffers are overwritten in place.
+    /// recovery.
     pub fn clear(&mut self) {
         self.valid.fill(0);
         self.access_counts.fill(0);
@@ -428,10 +361,9 @@ impl MergedTable {
     ///
     /// # Panics
     ///
-    /// Panics if `new_slots` is zero or the geometry is frozen.
+    /// Panics if `new_slots` is zero.
     pub fn resize(&mut self, new_slots: usize) {
         assert!(new_slots > 0, "table must have at least one slot");
-        assert!(!self.frozen, "cannot resize a frozen table");
         let stride = self.stride();
         let old_valid = std::mem::replace(&mut self.valid, vec![0; new_slots]);
         let old_data = std::mem::replace(&mut self.data, vec![0; new_slots * stride]);
@@ -526,25 +458,6 @@ mod tests {
         assert_eq!(t.slot_stats(1).hits, 0);
         assert_eq!(t.slot_stats(1).misses, 1);
         assert_eq!(t.stats().accesses, 2);
-    }
-
-    #[test]
-    fn probe_shared_matches_locked_lookup() {
-        let mut t = MergedTable::new(16, 1, &[2, 1]);
-        t.set_fp_words(1, 2);
-        t.freeze_geometry();
-        t.record(0, &[5], &[50, 51]);
-        t.record_dep(1, &[5], &[52], &[9, 10]);
-        let mut out = Vec::new();
-        let mut fp = Vec::new();
-        assert!(t.probe_shared(0, &[5], &mut out, &mut fp));
-        assert_eq!(out, vec![50, 51]);
-        assert!(fp.is_empty());
-        assert!(t.probe_shared(1, &[5], &mut out, &mut fp));
-        assert_eq!(out, vec![52]);
-        assert_eq!(fp, vec![9, 10]);
-        assert!(!t.probe_shared(0, &[6], &mut out, &mut fp));
-        assert_eq!(t.stats().accesses, 0, "shared probes leave stats alone");
     }
 
     #[test]

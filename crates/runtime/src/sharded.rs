@@ -4,28 +4,11 @@
 //! [`ShardedTable`] wraps the same storage kinds in N power-of-two shards
 //! (std primitives only — the workspace builds offline) so many worker
 //! threads can probe one long-lived reuse store through `&self`. Each
-//! shard is a complete `MemoTable` — storage, telemetry, and its own
-//! [`AdaptiveGuard`](crate::AdaptiveGuard) — so the adaptive machinery is
-//! evaluated per shard with no extra code.
-//!
-//! ## Optimistic lock-free probes (DESIGN.md §8h)
-//!
-//! Lookups are answered *without the shard lock* on the common path. Each
-//! shard carries a seqlock-style **version word**: writers (record, evict,
-//! clear, poison recovery) take the shard `Mutex`, store an odd version,
-//! mutate the flat entry buffers in place, and store the next even
-//! version. A reader snapshots the version (odd ⇒ a writer is mid-update:
-//! retry/fall back), probes the frozen-geometry storage with volatile
-//! reads, and re-reads the version — a change means the copy may be torn
-//! and is discarded. Dependency-validating probes re-check the version a
-//! *second* time after the fingerprint validator runs, so a torn entry can
-//! never be promoted green. A probe falls back to the locked path when the
-//! shard is bypassed, its lock is poisoned, its version stays unstable
-//! across the bounded retry budget, or the storage kind has no lock-free
-//! path. Shard geometry is frozen at build time
-//! ([`MemoTable::freeze_geometry`]), so the buffers optimistic readers
-//! walk are never reallocated: torn *words* are possible and handled, torn
-//! *pointers* are not.
+//! shard is a plain `Mutex` around a complete `MemoTable` — storage,
+//! telemetry, and its own [`AdaptiveGuard`](crate::AdaptiveGuard) — so
+//! the adaptive machinery is evaluated per shard with no extra code, and
+//! every probe, hit or miss, runs the same code a run-private table runs,
+//! under the shard lock.
 //!
 //! ## Sharding scheme
 //!
@@ -40,18 +23,16 @@
 //!
 //! ## What merging preserves
 //!
-//! Every counter increment happens exactly once — under the shard lock for
-//! locked traffic, in the shard's atomic side counters for optimistically
-//! resolved probes — and [`ShardedTable::shard_stats`] folds the side
-//! counters into each shard's snapshot. The aggregate
-//! [`ShardedTable::stats`] is therefore still a lossless sum of per-shard
-//! deltas: no access is lost or double-counted under contention (asserted
-//! by `tests/sharded_prop.rs` and `tests/contention_stress.rs`). Two
-//! documented divergences from the locked path: optimistic probes do not
-//! feed per-entry access counts, and their telemetry contribution is
-//! drained into the shard's windows (attributed to segment 0) only when
-//! the lock is next taken. The aggregate taken while writers are still
-//! running is a momentary snapshot; quiesce first for exact totals.
+//! Every counter increment happens exactly once, under the shard lock:
+//! in the shard table's own statistics and telemetry (per segment, as in
+//! a private table), or — for recordings the admission sketch refuses,
+//! which never touch the table — in the shard's `admission_rejects`
+//! count, which [`ShardedTable::shard_stats`] folds into the shard's
+//! snapshot. The aggregate [`ShardedTable::stats`] is therefore a
+//! lossless sum of per-shard deltas: no access is lost or double-counted
+//! under contention (asserted by `tests/sharded_prop.rs` and
+//! `tests/contention_stress.rs`). The aggregate taken while writers are
+//! still running is a momentary snapshot; quiesce first for exact totals.
 //!
 //! ## Poisoning and fault injection
 //!
@@ -59,17 +40,15 @@
 //! recovered on the next acquisition: the poison flag is cleared and the
 //! shard's *entries dropped* — its storage may have been mid-update, and
 //! forgetting is always sound for a cache, so the shard restarts empty but
-//! valid while every other shard keeps serving untouched. The drop runs
-//! inside a version-word write window, and optimistic probes check the
-//! poison flag before trusting a snapshot, so a poisoned shard is always
-//! recovered before its next probe is answered. Recoveries are counted
+//! valid while every other shard keeps serving untouched. Every access
+//! goes through that acquisition, so a poisoned shard is always recovered
+//! before its next probe is answered. Recoveries are counted
 //! ([`ShardedTable::poison_recoveries`]). For chaos testing, an installed
 //! [`FaultPlan`] can force probe misses ([`FailPoint::ProbeMiss`]) and
 //! [`ShardedTable::poison_shard`] poisons a shard's lock for real via a
 //! deliberate panic.
 
-use std::cell::{Cell, UnsafeCell};
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::admission::{key_hash64, TinyLfu};
@@ -79,123 +58,23 @@ use crate::hash::hash_words;
 use crate::stats::TableStats;
 use crate::{FpValidator, MemoTable, SpecError, TableSpec};
 
-/// Optimistic probe attempts before giving up and taking the shard lock.
-const OPTIMISTIC_ATTEMPTS: usize = 3;
-
-thread_local! {
-    /// Reusable `(outputs, fingerprint)` snapshot buffers for optimistic
-    /// probes. Taken out and restored (rather than borrowed) so a
-    /// validator that re-enters the store cannot hit a nested borrow.
-    static PROBE_SCRATCH: Cell<(Vec<u64>, Vec<u64>)> =
-        const { Cell::new((Vec::new(), Vec::new())) };
-}
-
-/// Counters for probes resolved on the lock-free path, maintained beside
-/// the locked [`MemoTable`]'s own statistics and folded into the shard's
-/// [`TableStats`] snapshot by [`ShardedTable::shard_stats`]. A probe is
-/// counted exactly once, at its final resolution: optimistically here, or
-/// in the table's counters after falling back to the lock.
-#[derive(Debug, Default)]
-struct OptCounters {
-    accesses: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    green_hits: AtomicU64,
-    stale_reds: AtomicU64,
-    optimistic_hits: AtomicU64,
-    optimistic_retries: AtomicU64,
-    /// Recordings refused by the TinyLFU admission sketch. Counted here
-    /// (not in the table: the storage was never touched) and folded into
-    /// the shard snapshot like the optimistic counters.
-    admission_rejects: AtomicU64,
-}
-
-impl OptCounters {
-    fn snapshot(&self) -> TableStats {
-        TableStats {
-            accesses: self.accesses.load(Ordering::Relaxed),
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            green_hits: self.green_hits.load(Ordering::Relaxed),
-            stale_reds: self.stale_reds.load(Ordering::Relaxed),
-            optimistic_hits: self.optimistic_hits.load(Ordering::Relaxed),
-            optimistic_retries: self.optimistic_retries.load(Ordering::Relaxed),
-            admission_rejects: self.admission_rejects.load(Ordering::Relaxed),
-            ..TableStats::default()
-        }
-    }
-}
-
-/// One lock shard: the table, its seqlock version word, and side state
-/// readable without the lock.
+/// One lock shard's contents: the table and its admission state.
 #[derive(Debug)]
 struct Shard {
-    /// Seqlock version word: even ⇔ entry storage is stable, odd ⇔ a
-    /// writer is mutating it. Bumped only by operations that change entry
-    /// storage (record, clear/poison recovery) — locked lookups touch only
-    /// statistics and telemetry, which optimistic readers never read.
-    version: AtomicU64,
-    /// Lock-free mirror of the shard guard's bypassed state, resynced
-    /// after every locked operation. A momentarily stale mirror is sound:
-    /// bypass never changes outputs, only whether the probe consults
-    /// storage.
-    bypassed: AtomicBool,
-    /// The table. Mutated only while holding `lock`; read without it by
-    /// optimistic probes under the version-word protocol.
-    table: UnsafeCell<MemoTable>,
-    /// Writer lock. The payload remembers how much of `opt` has already
-    /// been drained into the table's telemetry (see `absorb_shared_delta`).
-    lock: Mutex<TableStats>,
-    opt: OptCounters,
-    /// TinyLFU admission sketch (`None` = admission off). Mutated only
-    /// while holding `lock`; optimistic readers never touch it.
-    sketch: UnsafeCell<Option<TinyLfu>>,
-}
-
-// SAFETY: all mutation of `table` and `sketch` happens with the shard
-// `lock` held; the only unsynchronised access is the read-only optimistic
-// probe, which copies table words volatilely (never touching the sketch)
-// and discards the copy unless `version` proves no writer overlapped it
-// (seqlock protocol). `MemoTable` and `TinyLfu` own their storage (no
-// interior references), so the shard is `Send`.
-unsafe impl Send for Shard {}
-unsafe impl Sync for Shard {}
-
-impl Shard {
-    fn new(table: MemoTable) -> Self {
-        Shard {
-            version: AtomicU64::new(0),
-            bypassed: AtomicBool::new(false),
-            table: UnsafeCell::new(table),
-            lock: Mutex::new(TableStats::default()),
-            opt: OptCounters::default(),
-            sketch: UnsafeCell::new(None),
-        }
-    }
-
-    /// Marks the version word odd before entry storage is mutated. If a
-    /// previous writer panicked mid-update the word is already odd and
-    /// stays odd. Callers must hold the shard lock.
-    fn begin_entry_write(&self) -> u64 {
-        let odd = self.version.load(Ordering::Relaxed) | 1;
-        self.version.store(odd, Ordering::Relaxed);
-        // The odd store must become visible before any storage mutation.
-        fence(Ordering::Release);
-        odd
-    }
-
-    /// Publishes the mutation: the next even version. Readers that saw
-    /// neither the odd word nor the bump observed a stable snapshot.
-    fn end_entry_write(&self, odd: u64) {
-        self.version.store(odd.wrapping_add(1), Ordering::Release);
-    }
+    table: MemoTable,
+    /// TinyLFU admission sketch (`None` = admission off).
+    sketch: Option<TinyLfu>,
+    /// Recordings refused by the sketch. Counted here, not in the table:
+    /// the storage was never touched. Folded into the shard's snapshot by
+    /// [`ShardedTable::shard_stats`].
+    admission_rejects: u64,
 }
 
 /// The three table kinds wrapped in N power-of-two lock shards, probed
 /// through `&self` so one store can outlive and be shared by many runs.
 #[derive(Debug)]
 pub struct ShardedTable {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<Shard>>,
     /// `shards.len() - 1`; the length is a power of two.
     mask: u32,
     /// Times a poisoned shard was recovered (cleared and restarted empty).
@@ -211,9 +90,7 @@ impl ShardedTable {
     /// capacity is never below `spec.slots` (a 100-slot spec over 8 shards
     /// serves 104 slots, not 96). Multi-segment specs get merged shards,
     /// single-segment specs direct-addressed ones, mirroring the
-    /// pipeline's kind choice. Every shard's geometry is frozen so the
-    /// optimistic probe path stays sound; declare fingerprint widths via
-    /// [`ShardedTable::set_deps`] before the store sees traffic.
+    /// pipeline's kind choice.
     ///
     /// # Errors
     ///
@@ -228,13 +105,16 @@ impl ShardedTable {
         };
         let mut built = Vec::with_capacity(n);
         for _ in 0..n {
-            let mut table = if per_shard.out_words.len() > 1 {
+            let table = if per_shard.out_words.len() > 1 {
                 MemoTable::try_merged(&per_shard)?
             } else {
                 MemoTable::try_direct(&per_shard)?
             };
-            table.freeze_geometry();
-            built.push(Shard::new(table));
+            built.push(Mutex::new(Shard {
+                table,
+                sketch: None,
+                admission_rejects: 0,
+            }));
         }
         Ok(ShardedTable {
             shards: built,
@@ -257,10 +137,8 @@ impl ShardedTable {
     /// `Active` and re-windowed). Takes `&mut self`: policies are set at
     /// build time, before the store is shared.
     pub fn set_policy(&mut self, policy: GuardPolicy) {
-        for shard in &mut self.shards {
-            let table = shard.table.get_mut();
-            table.set_policy(policy.clone());
-            *shard.bypassed.get_mut() = table.state() == TableState::Bypassed;
+        for i in 0..self.shards.len() {
+            self.with_shard(i, |t| t.set_policy(policy.clone()));
         }
     }
 
@@ -279,184 +157,60 @@ impl ShardedTable {
         self.shard_index(key)
     }
 
-    fn acquire(&self, i: usize) -> MutexGuard<'_, TableStats> {
-        let shard = &self.shards[i];
-        shard.lock.lock().unwrap_or_else(|poisoned| {
+    fn acquire(&self, i: usize) -> MutexGuard<'_, Shard> {
+        let lock = &self.shards[i];
+        lock.lock().unwrap_or_else(|poisoned| {
             // Another worker panicked while holding this shard: its storage
             // may be mid-update, so drop the entries (forgetting is always
             // sound for a cache) and clear the flag so later acquisitions
             // see a healthy, empty shard instead of re-recovering forever.
-            // The drop runs inside a version write window so an optimistic
-            // reader racing the recovery discards its snapshot.
-            shard.lock.clear_poison();
+            lock.clear_poison();
             self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-            let guard = poisoned.into_inner();
-            // SAFETY: we hold the (just-recovered) shard lock.
-            let table = unsafe { &mut *shard.table.get() };
-            let odd = shard.begin_entry_write();
-            table.clear();
-            shard.end_entry_write(odd);
+            let mut guard = poisoned.into_inner();
+            guard.table.clear();
             guard
         })
     }
 
-    /// Runs `f` on shard `i`'s table under its lock. `entry_write` wraps
-    /// the call in a version write window — required for any operation
-    /// that mutates entry storage, forbidden to omit. Optimistic counters
-    /// accumulated since the last locked operation are drained into the
-    /// table's telemetry first (keeping guard epochs rolling), and the
-    /// lock-free bypassed mirror is resynced afterwards.
-    fn with_locked<R>(
-        &self,
-        i: usize,
-        entry_write: bool,
-        f: impl FnOnce(&mut MemoTable) -> R,
-    ) -> R {
-        let shard = &self.shards[i];
-        let mut drained = self.acquire(i);
-        // SAFETY: the shard lock is held for the whole scope; optimistic
-        // readers never take references into the table's buffers, they
-        // copy words and validate against the version word.
-        let table = unsafe { &mut *shard.table.get() };
-        let totals = shard.opt.snapshot();
-        let delta = totals.delta_since(&drained);
-        *drained = totals;
-        table.absorb_shared_delta(&delta);
-        let result = if entry_write {
-            let odd = shard.begin_entry_write();
-            let result = f(table);
-            shard.end_entry_write(odd);
-            result
-        } else {
-            f(table)
-        };
-        shard
-            .bypassed
-            .store(table.state() == TableState::Bypassed, Ordering::Relaxed);
-        result
+    /// Runs `f` on shard `i`'s table under its lock (also the snapshot
+    /// export and restore paths).
+    pub(crate) fn with_shard<R>(&self, i: usize, f: impl FnOnce(&mut MemoTable) -> R) -> R {
+        f(&mut self.acquire(i).table)
     }
 
     /// Looks up `key` for segment `slot` in the shard the key hashes to.
     /// Same contract as [`MemoTable::lookup`]; a bypassed shard answers a
     /// forced miss, as does a fired [`FailPoint::ProbeMiss`] (which skips
-    /// the probe entirely, leaving statistics untouched). Resolved on the
-    /// optimistic lock-free path whenever the shard is stable.
+    /// the probe entirely, leaving statistics untouched).
     pub fn lookup(&self, slot: usize, key: &[u64], out: &mut Vec<u64>) -> bool {
         self.lookup_dep(slot, key, out, false, None)
     }
 
     /// Dependency-validating lookup in the shard the key hashes to; same
-    /// contract as [`MemoTable::lookup_dep`]. On the optimistic path the
-    /// validator runs on a version-checked *copy* of the fingerprint, and
-    /// the version word is re-checked after validation before the entry
-    /// can be promoted green (so a torn entry never marks green); on the
-    /// locked fallback it runs under the shard lock (it only reads
-    /// caller-local epoch state, so it cannot deadlock against other
-    /// shards). A fired [`FailPoint::ProbeMiss`] still skips the probe
-    /// entirely.
+    /// contract as [`MemoTable::lookup_dep`]. The validator runs under the
+    /// shard lock (it only reads caller-local epoch state, so it cannot
+    /// deadlock against other shards). A fired [`FailPoint::ProbeMiss`]
+    /// still skips the probe entirely.
     pub fn lookup_dep(
         &self,
         slot: usize,
         key: &[u64],
         out: &mut Vec<u64>,
         green: bool,
-        mut validate: FpValidator,
+        validate: FpValidator,
     ) -> bool {
         if let Some(plan) = &self.faults {
             if plan.fire(FailPoint::ProbeMiss) {
                 return false;
             }
         }
-        let i = self.shard_index(key);
-        let shard = &self.shards[i];
-        if green && validate.is_none() {
-            // Forced red: exact-match mode cannot trust a mutable-dep
-            // entry, so the answer never consults storage — no tear is
-            // possible and the miss is counted lock-free. Bypassed shards
-            // still take the locked path so the forced miss lands in their
-            // bypass telemetry.
-            if !shard.bypassed.load(Ordering::Relaxed) {
-                shard.opt.accesses.fetch_add(1, Ordering::Relaxed);
-                shard.opt.misses.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            return self.with_locked(i, false, |t| t.lookup_dep(slot, key, out, green, None));
-        }
-        let (mut out_buf, mut fp_buf) = PROBE_SCRATCH.with(Cell::take);
-        let mut resolved = None;
-        for _ in 0..OPTIMISTIC_ATTEMPTS {
-            if shard.bypassed.load(Ordering::Relaxed) || shard.lock.is_poisoned() {
-                break;
-            }
-            let v1 = shard.version.load(Ordering::Acquire);
-            if v1 & 1 == 1 {
-                // A writer is mid-update; spin once and retry.
-                shard.opt.optimistic_retries.fetch_add(1, Ordering::Relaxed);
-                std::hint::spin_loop();
-                continue;
-            }
-            // SAFETY: read-only probe; every word is copied volatilely and
-            // the copy is discarded unless the version word below proves no
-            // writer overlapped (the buffers themselves cannot move: the
-            // shard geometry is frozen).
-            let table = unsafe { &*shard.table.get() };
-            let Some(matched) = table.probe_shared(slot, key, &mut out_buf, &mut fp_buf) else {
-                break; // kind without a lock-free path: locked fallback
-            };
-            fence(Ordering::Acquire);
-            if shard.version.load(Ordering::Relaxed) != v1 {
-                shard.opt.optimistic_retries.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            // The copy is consistent. Resolve it lock-free.
-            if !matched {
-                shard.opt.accesses.fetch_add(1, Ordering::Relaxed);
-                shard.opt.misses.fetch_add(1, Ordering::Relaxed);
-                resolved = Some(false);
-                break;
-            }
-            let mut green_hit = false;
-            if !fp_buf.is_empty() {
-                if let Some(v) = validate.as_mut() {
-                    let fp_ok = v(&fp_buf);
-                    // Re-validate *after* the fingerprint check (§8h): if a
-                    // writer replaced the entry while the validator ran,
-                    // retry rather than promote on a superseded entry.
-                    if shard.version.load(Ordering::Acquire) != v1 {
-                        shard.opt.optimistic_retries.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if !fp_ok {
-                        shard.opt.accesses.fetch_add(1, Ordering::Relaxed);
-                        shard.opt.misses.fetch_add(1, Ordering::Relaxed);
-                        shard.opt.stale_reds.fetch_add(1, Ordering::Relaxed);
-                        resolved = Some(false);
-                        break;
-                    }
-                    green_hit = green;
-                }
-            }
-            shard.opt.accesses.fetch_add(1, Ordering::Relaxed);
-            shard.opt.hits.fetch_add(1, Ordering::Relaxed);
-            shard.opt.optimistic_hits.fetch_add(1, Ordering::Relaxed);
-            if green_hit {
-                shard.opt.green_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            out.clear();
-            out.extend_from_slice(&out_buf);
-            resolved = Some(true);
-            break;
-        }
-        PROBE_SCRATCH.with(|cell| cell.set((out_buf, fp_buf)));
-        match resolved {
-            Some(hit) => hit,
-            None => self.with_locked(i, false, |t| t.lookup_dep(slot, key, out, green, validate)),
-        }
+        self.with_shard(self.shard_index(key), |t| {
+            t.lookup_dep(slot, key, out, green, validate)
+        })
     }
 
     /// Records `outputs` for `key` in segment `slot` in the shard the key
-    /// hashes to (dropped while that shard is bypassed). Writers always
-    /// take the shard lock and bump the version word.
+    /// hashes to (dropped while that shard is bypassed).
     pub fn record(&self, slot: usize, key: &[u64], outputs: &[u64]) {
         self.record_dep(slot, key, outputs, &[])
     }
@@ -475,23 +229,12 @@ impl ShardedTable {
     /// supersedes admission, and the drop lands in bypass telemetry as
     /// before.
     pub fn record_dep(&self, slot: usize, key: &[u64], outputs: &[u64], fp: &[u64]) {
-        let i = self.shard_index(key);
-        let shard = &self.shards[i];
-        let mut drained = self.acquire(i);
-        // SAFETY: the shard lock is held for the whole scope (see
-        // `with_locked`, whose drain/resync steps this writer repeats so
-        // the admission decision can sit between them).
-        let table = unsafe { &mut *shard.table.get() };
-        let totals = shard.opt.snapshot();
-        let delta = totals.delta_since(&drained);
-        *drained = totals;
-        table.absorb_shared_delta(&delta);
-        // SAFETY: the sketch is only ever touched under the shard lock.
-        let sketch = unsafe { &mut *shard.sketch.get() };
-        let admitted = match sketch {
-            Some(lfu) if table.state() != TableState::Bypassed => {
+        let mut guard = self.acquire(self.shard_index(key));
+        let shard = &mut *guard;
+        let admitted = match &mut shard.sketch {
+            Some(lfu) if shard.table.state() != TableState::Bypassed => {
                 let candidate = key_hash64(key);
-                match table.resident_key(key).map(key_hash64) {
+                match shard.table.resident_key(key).map(key_hash64) {
                     Some(victim) => lfu.admits(candidate, victim),
                     None => {
                         lfu.observe(candidate);
@@ -502,15 +245,10 @@ impl ShardedTable {
             _ => true,
         };
         if admitted {
-            let odd = shard.begin_entry_write();
-            table.record_dep(slot, key, outputs, fp);
-            shard.end_entry_write(odd);
+            shard.table.record_dep(slot, key, outputs, fp);
         } else {
-            shard.opt.admission_rejects.fetch_add(1, Ordering::Relaxed);
+            shard.admission_rejects += 1;
         }
-        shard
-            .bypassed
-            .store(table.state() == TableState::Bypassed, Ordering::Relaxed);
     }
 
     /// Enables (or disables) TinyLFU admission on every shard, each sized
@@ -518,26 +256,25 @@ impl ShardedTable {
     /// build time, before the store is shared. Enabling resets any
     /// previous sketch's frequency state.
     pub fn set_admission(&mut self, enabled: bool) {
-        for shard in &mut self.shards {
-            let slots = shard.table.get_mut().slots();
-            *shard.sketch.get_mut() = enabled.then(|| TinyLfu::new(slots));
+        for i in 0..self.shards.len() {
+            let mut shard = self.acquire(i);
+            let slots = shard.table.slots();
+            shard.sketch = enabled.then(|| TinyLfu::new(slots));
         }
     }
 
     /// Whether TinyLFU admission is enabled (on shard 0 — shards are
     /// always configured uniformly).
     pub fn admission_enabled(&mut self) -> bool {
-        self.shards[0].sketch.get_mut().is_some()
+        self.acquire(0).sketch.is_some()
     }
 
     /// Declares segment `slot`'s fingerprint width on every shard; see
     /// [`MemoTable::set_deps`]. Takes `&mut self`: dependency layouts are
-    /// wired at build time, before the store is shared (the flat buffers
-    /// may be rebuilt, which exclusive access makes safe even though the
-    /// shards are frozen).
+    /// wired at build time, before the store is shared.
     pub fn set_deps(&mut self, slot: usize, fp_words: usize) {
-        for shard in &mut self.shards {
-            shard.table.get_mut().set_deps(slot, fp_words);
+        for i in 0..self.shards.len() {
+            self.with_shard(i, |t| t.set_deps(slot, fp_words));
         }
     }
 
@@ -555,14 +292,15 @@ impl ShardedTable {
         total
     }
 
-    /// Per-shard statistics snapshots, in shard order: the locked table's
-    /// counters with the shard's optimistic side counters folded in, so
-    /// the sum over shards accounts for every probe exactly once.
+    /// Per-shard statistics snapshots, in shard order: the table's
+    /// counters with the shard's admission rejects folded in, so the sum
+    /// over shards accounts for every probe and recording exactly once.
     pub fn shard_stats(&self) -> Vec<TableStats> {
         (0..self.shards.len())
             .map(|i| {
-                let mut s = self.with_locked(i, false, |t| *t.stats());
-                s.merge(&self.shards[i].opt.snapshot());
+                let shard = self.acquire(i);
+                let mut s = *shard.table.stats();
+                s.admission_rejects += shard.admission_rejects;
                 s
             })
             .collect()
@@ -571,51 +309,36 @@ impl ShardedTable {
     /// Per-shard guard states, in shard order.
     pub fn shard_states(&self) -> Vec<TableState> {
         (0..self.shards.len())
-            .map(|i| self.with_locked(i, false, |t| t.state()))
+            .map(|i| self.with_shard(i, |t| t.state()))
             .collect()
     }
 
     /// Total storage footprint across shards, in bytes.
     pub fn bytes(&self) -> usize {
         (0..self.shards.len())
-            .map(|i| self.with_locked(i, false, |t| t.bytes()))
+            .map(|i| self.with_shard(i, |t| t.bytes()))
             .sum()
     }
 
     /// Total slot count across shards.
     pub fn slots(&self) -> usize {
         (0..self.shards.len())
-            .map(|i| self.with_locked(i, false, |t| t.slots()))
+            .map(|i| self.with_shard(i, |t| t.slots()))
             .sum()
     }
 
     /// Total lookups answered as forced misses by bypassed shards.
     pub fn bypassed_total(&self) -> u64 {
         (0..self.shards.len())
-            .map(|i| self.with_locked(i, false, |t| t.telemetry().bypassed_total()))
+            .map(|i| self.with_shard(i, |t| t.telemetry().bypassed_total()))
             .sum()
     }
 
     /// Total recordings dropped by bypassed shards.
     pub fn dropped_records(&self) -> u64 {
         (0..self.shards.len())
-            .map(|i| self.with_locked(i, false, |t| t.telemetry().dropped_records()))
+            .map(|i| self.with_shard(i, |t| t.telemetry().dropped_records()))
             .sum()
-    }
-
-    /// Runs a read-only closure on shard `i`'s table under its lock
-    /// (snapshot export path; optimistic counters are drained first so
-    /// the table's telemetry is current).
-    pub(crate) fn with_shard<R>(&self, i: usize, f: impl FnOnce(&MemoTable) -> R) -> R {
-        self.with_locked(i, false, |t| f(t))
-    }
-
-    /// Runs a closure on shard `i`'s table through exclusive access (no
-    /// locking, no version bump — the store is not shared yet). Snapshot
-    /// *restore* path: a restored store is always rebuilt fresh before
-    /// being handed to workers.
-    pub(crate) fn with_shard_mut<R>(&mut self, i: usize, f: impl FnOnce(&mut MemoTable) -> R) -> R {
-        f(self.shards[i].table.get_mut())
     }
 
     /// Times a poisoned shard lock was recovered (shard cleared and
@@ -627,10 +350,8 @@ impl ShardedTable {
     /// Genuinely poisons shard `shard`'s lock by panicking while holding
     /// it (the panic is caught here; install
     /// [`crate::silence_injected_panics`] to mute its report). The next
-    /// acquisition recovers the shard empty-but-valid — optimistic probes
-    /// see the poison flag and fall back to the lock, so the recovery is
-    /// never skipped. Chaos-testing entry point for the retryable
-    /// poisoned-shard fault.
+    /// acquisition recovers the shard empty-but-valid. Chaos-testing entry
+    /// point for the retryable poisoned-shard fault.
     ///
     /// # Panics
     ///
@@ -647,7 +368,7 @@ impl ShardedTable {
     /// degradation under overload), journaling `reason` per shard.
     pub fn force_bypass(&self, reason: &'static str) {
         for i in 0..self.shards.len() {
-            self.with_locked(i, false, |t| t.force_bypass(reason));
+            self.with_shard(i, |t| t.force_bypass(reason));
         }
     }
 
@@ -655,7 +376,7 @@ impl ShardedTable {
     /// probation, disabled ones return to `Active`), journaling `reason`.
     pub fn end_forced_bypass(&self, reason: &'static str) {
         for i in 0..self.shards.len() {
-            self.with_locked(i, false, |t| t.end_forced_bypass(reason));
+            self.with_shard(i, |t| t.end_forced_bypass(reason));
         }
     }
 }
@@ -765,7 +486,7 @@ mod tests {
     }
 
     #[test]
-    fn warm_hits_resolve_on_the_optimistic_path() {
+    fn warm_hits_return_recorded_payloads() {
         let t = ShardedTable::try_from_spec(&spec(64), 4).unwrap();
         let mut out = Vec::new();
         for k in 0..16u64 {
@@ -779,16 +500,12 @@ mod tests {
         }
         let s = t.stats();
         assert_eq!(s.hits, 64);
-        assert_eq!(
-            s.optimistic_hits, 64,
-            "uncontended warm hits never take the lock"
-        );
         assert_eq!(s.accesses, 64);
         assert_eq!(s.misses, 0);
     }
 
     #[test]
-    fn optimistic_green_validation_and_stale_reds() {
+    fn green_validation_and_stale_reds() {
         let mut t = ShardedTable::try_from_spec(&spec(64), 4).unwrap();
         t.set_deps(0, 2);
         let mut out = Vec::new();
@@ -803,7 +520,7 @@ mod tests {
         assert_eq!(seen, vec![9, 10], "validator sees the stored fp");
         let mut no = |_: &[u64]| false;
         assert!(!t.lookup_dep(0, &[5], &mut out, true, Some(&mut no)));
-        // Forced red (green, no validator) also resolves lock-free.
+        // Forced red: green with no validator never trusts the entry.
         assert!(!t.lookup_dep(0, &[5], &mut out, true, None));
         let s = t.stats();
         assert_eq!(s.accesses, 3);
@@ -811,7 +528,91 @@ mod tests {
         assert_eq!(s.green_hits, 1);
         assert_eq!(s.stale_reds, 1);
         assert_eq!(s.misses, 2);
-        assert_eq!(s.optimistic_hits, 1);
+    }
+
+    #[test]
+    fn per_segment_telemetry_attributes_every_probe_to_its_segment() {
+        let mspec = TableSpec {
+            slots: 64,
+            key_words: 1,
+            out_words: vec![1, 1],
+        };
+        let t = ShardedTable::try_from_spec(&mspec, 4).unwrap();
+        let mut out = Vec::new();
+        for k in 0..16u64 {
+            t.record(1, &[k], &[k + 100]);
+        }
+        let rounds = 3;
+        for _ in 0..rounds {
+            for k in 0..16u64 {
+                assert!(t.lookup(1, &[k], &mut out));
+                assert_eq!(out, vec![k + 100]);
+            }
+        }
+        let probes = rounds * 16;
+        let mut seg0 = TableStats::default();
+        let mut seg1 = TableStats::default();
+        for i in 0..t.shard_count() {
+            t.with_shard(i, |table| {
+                let per = table.telemetry().per_segment();
+                if let Some(s) = per.first() {
+                    seg0.merge(s);
+                }
+                if let Some(s) = per.get(1) {
+                    seg1.merge(s);
+                }
+            });
+        }
+        assert_eq!(seg1.accesses, probes, "segment 1 saw every probe");
+        assert_eq!(seg1.hits, probes, "segment 1 saw every hit");
+        assert_eq!(seg0.accesses, 0, "segment 0 was never probed");
+        assert_eq!(seg0.hits, 0);
+    }
+
+    #[test]
+    fn guard_resize_is_applied_to_the_shard() {
+        let mut t = ShardedTable::try_from_spec(&spec(1), 1).unwrap();
+        t.set_policy(GuardPolicy {
+            enabled: true,
+            epoch_len: 16,
+            k_epochs: 1,
+            max_resizes: 1,
+            ..GuardPolicy::default()
+        });
+        let mut out = Vec::new();
+        // On one slot every new key's recording evicts the last one, yet
+        // each key hits right after it is recorded: a collision rate far
+        // over the threshold on a table that still earns hits, which the
+        // guard answers by doubling the table.
+        for k in 0..8u64 {
+            assert!(!t.lookup(0, &[k], &mut out));
+            t.record(0, &[k], &[k * 10]);
+            assert!(t.lookup(0, &[k], &mut out));
+            assert_eq!(out, vec![k * 10]);
+        }
+        assert_eq!(t.slots(), 2, "the resize verdict doubled the shard");
+        assert_eq!(t.shard_states(), vec![TableState::Active]);
+        let journal: Vec<&str> = t.with_shard(0, |table| {
+            table
+                .telemetry()
+                .transitions()
+                .iter()
+                .map(|tr| tr.reason)
+                .collect()
+        });
+        assert_eq!(journal, vec!["resize"]);
+        assert!(
+            t.lookup(0, &[7], &mut out),
+            "the rehash kept the live entry"
+        );
+        assert_eq!(out, vec![70]);
+        // Keys 100 and 101 shared the one old slot but not the two new ones.
+        t.record(0, &[100], &[1000]);
+        t.record(0, &[101], &[1010]);
+        assert!(t.lookup(0, &[100], &mut out));
+        assert_eq!(out, vec![1000]);
+        assert!(t.lookup(0, &[101], &mut out));
+        assert_eq!(out, vec![1010]);
     }
 
     #[test]

@@ -28,13 +28,13 @@ pub struct TableStats {
     pub evictions: u64,
     /// Total recordings.
     pub insertions: u64,
-    /// Subset of `hits` answered on the lock-free optimistic probe path of
-    /// a [`crate::ShardedTable`] (version word validated, shard lock never
-    /// taken). Always zero for run-private tables.
+    /// Retired: hits of the deleted lock-free optimistic probe path
+    /// (DESIGN.md §8h). Always 0. Kept only because the benchmark package
+    /// reads it and the snapshot layout stores it (word 8).
     pub optimistic_hits: u64,
-    /// Optimistic probes that observed a version-word change (or an active
-    /// writer) and had to retry or fall back to the shard lock. Not an
-    /// access: the probe is counted once, at its final resolution.
+    /// Retired: retries of the deleted lock-free optimistic probe path
+    /// (DESIGN.md §8h). Always 0. Kept only because the benchmark package
+    /// reads it and the snapshot layout stores it (word 9).
     pub optimistic_retries: u64,
     /// Retired: hits of the deleted per-worker L1 front cache
     /// (DESIGN.md §8i). Always 0. Kept only because the benchmark package

@@ -1,17 +1,14 @@
-//! Release-gated contention stress test for the optimistic probe path
-//! (DESIGN.md §8h): writer threads churn `record`/evict against reader
-//! threads hammering a hot key set on the same [`ShardedTable`].
+//! Release-gated contention stress test for the sharded store (DESIGN.md
+//! §8e): writer threads churn `record`/evict against reader threads
+//! hammering a hot key set on the same [`ShardedTable`], whose shards are
+//! each one mutex around a table.
 //!
 //! Invariants under fire:
 //!
-//! 1. **No torn outputs** — every hit returns exactly the payload that
-//!    was recorded for its key (the per-key payload function is
-//!    deterministic, so a mixed-generation copy is detectable).
-//! 2. **Contention is real** — at least one optimistic probe observed a
-//!    concurrent writer and retried (`optimistic_retries > 0`). A single
-//!    round on a loaded or single-CPU host may not interleave a reader
-//!    with a write window, so rounds repeat until a retry is seen.
-//! 3. **Lossless accounting** — the per-shard statistics sum exactly to
+//! 1. **Hits return recorded payloads** — every hit returns exactly the
+//!    payload that was recorded for its key (the per-key payload function
+//!    is deterministic, so an entry mixing two recordings is detectable).
+//! 2. **Lossless accounting** — the per-shard statistics sum exactly to
 //!    the merged aggregate, and probe traffic splits exactly into hits
 //!    plus misses.
 
@@ -22,8 +19,8 @@ const OUT_WORDS: usize = 2;
 const HOT_KEYS: usize = 32;
 
 /// The only payload ever recorded for `key`. Both words depend on the
-/// whole key, so a hit assembled from two different write generations
-/// (impossible if the version protocol holds) would not verify.
+/// whole key, so a hit assembled from two different recordings would not
+/// verify.
 fn payload_of(key: &[u64]) -> [u64; OUT_WORDS] {
     let mut out = [0u64; OUT_WORDS];
     for (j, w) in out.iter_mut().enumerate() {
@@ -99,32 +96,19 @@ fn churn_round(
 #[test]
 fn writers_churning_under_readers_stay_consistent() {
     if cfg!(debug_assertions) {
-        // The stress needs release-mode probe rates to make reader/writer
-        // interleaving within a version write window likely; a debug run
-        // would take minutes and prove less.
+        // The stress needs release-mode probe rates to make readers and
+        // writers contend for the same shard locks; a debug run would take
+        // minutes and prove less.
         return;
     }
     let table = fresh_store();
-    let mut rounds = 0u64;
     let mut torn = 0u64;
-    // Keep churning until an optimistic probe demonstrably overlapped a
-    // writer. Each round is ~100k mixed operations; a preemptive
-    // scheduler lands a reader inside a write window long before the cap
-    // even on one CPU.
-    while table.stats().optimistic_retries == 0 && rounds < 200 {
-        torn += churn_round(&table, 2, 2, 25_000, rounds);
-        rounds += 1;
+    // Each round is ~100k mixed operations.
+    for round in 0..8 {
+        torn += churn_round(&table, 2, 2, 25_000, round);
     }
     assert_eq!(torn, 0, "a hit returned a torn payload");
     let stats = table.stats();
-    assert!(
-        stats.optimistic_retries > 0,
-        "no optimistic probe ever observed a concurrent writer after {rounds} rounds"
-    );
-    assert!(
-        stats.optimistic_hits > 0,
-        "hot-key probes never resolved on the lock-free path"
-    );
     // Lossless merge: the aggregate equals the exact per-shard sum, and
     // probe traffic splits exactly into hits and misses.
     let mut summed = TableStats::default();
@@ -143,6 +127,6 @@ fn stats_snapshot_is_stable_once_quiescent() {
     let table = fresh_store();
     churn_round(&table, 2, 2, 10_000, 0);
     // After all threads join, two reads of the merged stats must agree —
-    // draining optimistic counters into snapshots is idempotent.
+    // taking a snapshot changes no counter.
     assert_eq!(table.stats(), table.stats());
 }

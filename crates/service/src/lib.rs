@@ -498,12 +498,12 @@ impl ReuseService {
     /// Restores the stores from a snapshot written by
     /// [`ReuseService::snapshot_to`] under the *same program set and
     /// service shape* (table specs, shard count). On success the service
-    /// resumes warm: entries, statistics and telemetry baselines are back
-    /// and shard geometry is re-frozen, so the optimistic probe path is
-    /// immediately live. On *any* failure — missing file, corruption,
-    /// version or geometry mismatch — the service falls back to fresh,
-    /// empty stores (a clean cold start) and reports why; it never
-    /// panics on snapshot contents.
+    /// resumes warm: entries, statistics and telemetry baselines are back.
+    /// On *any* failure — missing file, corruption, version or geometry
+    /// mismatch (a shard an enabled guard resized no longer has its
+    /// spec's shape) — the service falls back to fresh, empty stores (a
+    /// clean cold start) and reports why; it never panics on snapshot
+    /// contents.
     ///
     /// # Panics
     ///

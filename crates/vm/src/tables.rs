@@ -15,15 +15,12 @@
 //! ledger differs, which is part of the documented store-dependent set
 //! (DESIGN.md §8e).
 //!
-//! Shared probes (`lookup` and the red/green `lookup_dep`) resolve on
-//! the store's optimistic lock-free path when the shard is stable: a
-//! seqlock version check brackets a copied-out candidate entry, and a
-//! green promotion re-checks the version *after* the validator runs, so
-//! the engines can never serve — or mark green — a torn entry
-//! (DESIGN.md §8h). The VM needs no awareness of this: the handle
+//! Shared probes (`lookup` and the red/green `lookup_dep`) run the same
+//! table code as private probes, under the lock of the shard the key
+//! routes to; the fingerprint validator runs under that lock too, so a
+//! green promotion always judges the entry it returns. The handle
 //! contract (same answers as a private probe, store-dependent cycle
-//! ledger aside) is unchanged, and contention shows up only in the
-//! store's `optimistic_hits`/`optimistic_retries` statistics.
+//! ledger aside) is the same for both kinds.
 
 use std::sync::Arc;
 

@@ -11,7 +11,8 @@
 //! panic, never a partial import.
 
 use memo_runtime::{
-    restore_words, snapshot_words, ShardedTable, SnapshotError, TableSpec, SNAPSHOT_VERSION,
+    restore_words, snapshot_words, GuardPolicy, ShardedTable, SnapshotError, TableSpec,
+    SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -212,6 +213,37 @@ fn geometry_mismatches_are_refused() {
         "unexpected error: {err}"
     );
     assert_cold_and_working(&wrong);
+}
+
+#[test]
+fn resized_shard_snapshots_are_refused_by_a_spec_built_store() {
+    let segs = vec![(1, 0)];
+    let mut resized = build_store(1, 1, &segs, false);
+    resized.set_policy(GuardPolicy {
+        enabled: true,
+        epoch_len: 16,
+        k_epochs: 1,
+        max_resizes: 1,
+        ..GuardPolicy::default()
+    });
+    // Every new key evicts the last from the one slot, yet each hits once
+    // recorded: the guard doubles the shard instead of bypassing it.
+    let mut out = Vec::new();
+    for k in 0..8u64 {
+        resized.lookup(0, &[k], &mut out);
+        resized.record(0, &[k], &[k]);
+        assert!(resized.lookup(0, &[k], &mut out));
+    }
+    assert_eq!(resized.slots(), 2, "the guard resized the shard");
+    let words = snapshot_words(&[&resized]);
+
+    let mut target = build_store(1, 1, &segs, false);
+    let err = restore_words(&mut [&mut target], &words).expect_err("shapes differ");
+    assert!(
+        matches!(err, SnapshotError::GeometryMismatch(_)),
+        "unexpected error: {err}"
+    );
+    assert_cold_and_working(&target);
 }
 
 /// End-to-end through `ReuseService`: warm a tiny service, snapshot it,
