@@ -105,19 +105,19 @@ pub fn overhead_cycles(key_words: usize, out_words: usize) -> f64 {
 }
 
 /// Computes the static cost estimates for `seg` with interface word
-/// counts `key_words`/`out_words`.
+/// counts `key_words`/`out_words`, given the program's
+/// [`function_costs`] (computed once per program, not per segment).
 pub fn seg_granularity(
     checked: &Checked,
-    an: &Analyses,
+    func_costs: &HashMap<usize, OpCounts>,
     seg: &Segment,
     key_words: usize,
     out_words: usize,
 ) -> SegCost {
-    let func_costs = function_costs(checked, an);
     let body = seg.body(&checked.program);
     let est = Estimator {
         checked,
-        func_costs: &func_costs,
+        func_costs,
     };
     let counts = est.block(body);
     SegCost {
@@ -435,7 +435,7 @@ mod tests {
         );
         let seg = segs.iter().find(|s| s.name == "quan:body").unwrap();
         // One int in, return value out: key=1, out=1.
-        let cost = seg_granularity(&checked, &an, seg, 1, 1);
+        let cost = seg_granularity(&checked, &function_costs(&checked, &an), seg, 1, 1);
         assert!(cost.granularity_cycles > cost.overhead_cycles);
         assert!(cost.passes_prefilter());
     }
@@ -448,7 +448,7 @@ mod tests {
              int main() { g = tiny(3); return g; }",
         );
         let seg = segs.iter().find(|s| s.name == "tiny:body").unwrap();
-        let cost = seg_granularity(&checked, &an, seg, 1, 1);
+        let cost = seg_granularity(&checked, &function_costs(&checked, &an), seg, 1, 1);
         assert!(
             !cost.passes_prefilter(),
             "x+1 is cheaper than a table probe: C={} O={}",
@@ -508,8 +508,9 @@ mod tests {
         );
         let s10 = segs.iter().find(|s| s.name == "f10:body").unwrap();
         let s1000 = segs.iter().find(|s| s.name == "f1000:body").unwrap();
-        let c10 = seg_granularity(&checked, &an, s10, 1, 1).granularity_cycles;
-        let c1000 = seg_granularity(&checked, &an, s1000, 1, 1).granularity_cycles;
+        let costs = function_costs(&checked, &an);
+        let c10 = seg_granularity(&checked, &costs, s10, 1, 1).granularity_cycles;
+        let c1000 = seg_granularity(&checked, &costs, s1000, 1, 1).granularity_cycles;
         assert!(c1000 > 50.0 * c10, "c10={c10} c1000={c1000}");
     }
 }

@@ -1,6 +1,8 @@
 //! Emits the JSON runtime-table metrics report for one workload: per-table
-//! accesses, hits, misses, collisions, evictions, guard state, and the
-//! adaptive-guard transition journal.
+//! accesses, hits, misses, collisions, evictions, guard state, the
+//! adaptive-guard transition journal, and the bytes the value-set
+//! profile's input patterns take (`profile.raw_bytes` at 8 bytes a word,
+//! `profile.packed_bytes` as held).
 //!
 //! ```text
 //! cargo run --release -p bench --bin metrics -- [workload] [--scale f]

@@ -1133,7 +1133,8 @@ pub fn serve_ab_json(s: &crate::serve::AbSummary) -> String {
 
 /// Serialises one measured run into the JSON metrics report: per-table
 /// accesses, hits, misses, collisions, evictions, guard state, the
-/// transition journal, and the retained epoch windows.
+/// transition journal, the retained epoch windows, and the size of the
+/// value-set profile's input patterns (raw words against packed bytes).
 pub fn metrics_report_json(p: &Prepared, m: &crate::runner::Measurement, adaptive: bool) -> String {
     let tables: Vec<String> = p
         .outcome
@@ -1147,10 +1148,21 @@ pub fn metrics_report_json(p: &Prepared, m: &crate::runner::Measurement, adaptiv
     for t in &m.tables {
         agg.merge(t.stats());
     }
+    // The profile's distinct input patterns: how many, and their bytes
+    // at one 8-byte word per key word against the packed bytes held.
+    let profile = &p.outcome.profile;
+    let (patterns, raw_bytes) = profile
+        .segs
+        .iter()
+        .flat_map(|s| s.patterns())
+        .fold((0, 0), |(n, bytes), (words, _)| {
+            (n + 1, bytes + 8 * words.len())
+        });
     format!(
         concat!(
             "{{\"workload\":\"{}\",\"opt\":\"{:?}\",\"adaptive\":{},",
             "\"output_match\":{},\"speedup\":{},\"orig_cycles\":{},\"memo_cycles\":{},",
+            "\"profile\":{{\"patterns\":{},\"raw_bytes\":{},\"packed_bytes\":{}}},",
             "\"totals\":{},\"tables\":[{}]}}"
         ),
         json_escape(p.name),
@@ -1160,6 +1172,9 @@ pub fn metrics_report_json(p: &Prepared, m: &crate::runner::Measurement, adaptiv
         m.speedup(),
         m.orig_cycles,
         m.memo_cycles,
+        patterns,
+        raw_bytes,
+        profile.pattern_bytes(),
         json_stats(&agg),
         tables.join(","),
     )

@@ -18,8 +18,7 @@ const ENGINES: [Engine; 2] = [Engine::Tree, Engine::Bytecode];
 fn profile_fingerprint(p: &vm::ProfileData) -> String {
     let mut s = String::new();
     for seg in &p.segs {
-        let mut distinct: Vec<(&[u64], u64)> =
-            seg.distinct.iter().map(|(k, &c)| (&**k, c)).collect();
+        let mut distinct: Vec<(Vec<u64>, u64)> = seg.patterns().collect();
         distinct.sort();
         let mut within: Vec<(u32, u64)> = seg.within.iter().map(|(&k, &c)| (k, c)).collect();
         within.sort();

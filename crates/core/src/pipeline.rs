@@ -21,7 +21,7 @@ use crate::nesting;
 use crate::specialize::{specialize, Specialization};
 use crate::transform::{insert_memos, insert_probes, MemoSpec, ProbeSpec};
 use analysis::deps::{plan_deps, shared_region_edges, DepEdge, DepPlan};
-use analysis::granularity::{seg_granularity, SegCost};
+use analysis::granularity::{function_costs, seg_granularity, SegCost};
 use analysis::inout::{seg_io, SegIo};
 use analysis::segments::{self, Reject};
 use analysis::{Analyses, SegKind, Segment};
@@ -389,6 +389,7 @@ pub fn run_pipeline(
     // Stage 1: enumerate and screen.
     let segs = segments::enumerate(&checked);
     report.analyzed = segs.len();
+    let func_costs = function_costs(&checked, &an);
     let mut candidates: Vec<(Segment, SegIo, SegCost, DepPlan)> = Vec::new();
     for seg in segs {
         if let Err(r) = segments::check_structure(&checked, &an.cg, &an.io, &seg) {
@@ -419,7 +420,7 @@ pub fn run_pipeline(
                 key_words: io.key_words,
             }
         };
-        let cost = seg_granularity(&checked, &an, &seg, io.key_words, io.out_words);
+        let cost = seg_granularity(&checked, &func_costs, &seg, io.key_words, io.out_words);
         if !cost.passes_prefilter() {
             report
                 .rejects

@@ -23,7 +23,7 @@ const SCALE: f64 = 0.05;
 
 /// Deterministic text of one segment profile (hash maps sorted).
 fn seg_fingerprint(seg: &vm::SegProfile) -> String {
-    let mut distinct: Vec<(&[u64], u64)> = seg.distinct.iter().map(|(k, &c)| (&**k, c)).collect();
+    let mut distinct: Vec<(Vec<u64>, u64)> = seg.patterns().collect();
     distinct.sort();
     let mut within: Vec<(u32, u64)> = seg.within.iter().map(|(&k, &c)| (k, c)).collect();
     within.sort();

@@ -14,7 +14,7 @@ use crate::lower::{
     Coerce, CostKind, LCallee, LExpr, LMemo, LOperand, LPlace, LProfile, LStmt, Module, OpLoc,
     WriteCost,
 };
-use crate::profile::{ProfileData, SegProfile};
+use crate::profile::{ProbeScratch, ProfileData, SegProfile};
 use crate::tables::TableHandles;
 use crate::value::{PrintVal, Trap, Value};
 use memo_runtime::{MemoTable, ShardedTable, TableState};
@@ -242,7 +242,7 @@ fn run_on_current_thread(module: &Module, config: RunConfig) -> Result<Outcome, 
         key_arena: Vec::new(),
         out_scratch: Vec::new(),
         rec_scratch: Vec::new(),
-        seen_scratch: Vec::new(),
+        probe_scratch: ProbeScratch::default(),
         dep_rt: DepRuntime::new(module),
         fp_scratch: Vec::new(),
         validate: config.validate,
@@ -307,8 +307,8 @@ struct Machine<'m> {
     out_scratch: Vec<u64>,
     /// Reused record buffer (cleared per miss).
     rec_scratch: Vec<u64>,
-    /// Reused ancestor-dedup buffer for profile probes.
-    seen_scratch: Vec<u32>,
+    /// Reused ancestor-dedup and key-packing buffers for profile probes.
+    probe_scratch: ProbeScratch,
     /// Chunk-epoch chains and recording frames for fingerprinted memos.
     dep_rt: DepRuntime,
     /// Reused fingerprint buffer (cleared per record).
@@ -775,7 +775,7 @@ impl<'m> Machine<'m> {
                 p.seg,
                 read.is_ok().then(|| &self.key_arena[ks..]),
                 self.profile_stack.iter().map(|&(outer, _)| outer),
-                &mut self.seen_scratch,
+                &mut self.probe_scratch,
             );
         self.key_arena.truncate(ks);
         let entry_cycles = self.cycles;

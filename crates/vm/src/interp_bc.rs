@@ -32,6 +32,7 @@ use crate::interp::{
     unary_value, write_operand_from, Outcome, RunConfig,
 };
 use crate::lower::{Module, WriteCost};
+use crate::profile::ProbeScratch;
 use crate::tables::TableHandles;
 use crate::value::{PrintVal, Trap, Value};
 use memo_runtime::TableState;
@@ -188,7 +189,7 @@ pub(crate) fn run_bc(
         key_arena: Vec::new(),
         out_scratch: Vec::new(),
         rec_scratch: Vec::new(),
-        seen_scratch: Vec::new(),
+        probe_scratch: ProbeScratch::default(),
         dep_rt: DepRuntime::new(module),
         fp_scratch: Vec::new(),
         validate: config.validate,
@@ -337,8 +338,8 @@ struct BcMachine<'m, 'b> {
     out_scratch: Vec<u64>,
     /// Reused record buffer.
     rec_scratch: Vec<u64>,
-    /// Reused ancestor-dedup buffer for profile probes.
-    seen_scratch: Vec<u32>,
+    /// Reused ancestor-dedup and key-packing buffers for profile probes.
+    probe_scratch: ProbeScratch,
     /// Chunk-epoch chains and recording frames for fingerprinted memos.
     dep_rt: DepRuntime,
     /// Reused fingerprint buffer (cleared per record).
@@ -1213,7 +1214,7 @@ impl BcMachine<'_, '_> {
                 p.seg,
                 read.is_ok().then(|| &self.key_arena[ks..]),
                 ancestors,
-                &mut self.seen_scratch,
+                &mut self.probe_scratch,
             );
         self.key_arena.truncate(ks);
         self.regions.push(Region {
