@@ -9,9 +9,9 @@
 //! - Every point where the tree-walker charges cycles has a corresponding
 //!   instruction that charges the same [`crate::cost::CostModel`] field:
 //!   `TickBranch` before `if`/ternary/logic conditions, `WhileHead`/
-//!   `ForHead`/`DoHead` at loop heads (which also run the cycle-budget
-//!   check, exactly where the tree-walker does), `Binary`/`Unary` carrying
-//!   their [`CostKind`], and so on.
+//!   `ForHead`/`DoHead`/`LoopHeadCmp` at loop heads (which also run the
+//!   cycle-budget check, exactly where the tree-walker does), `Binary`/
+//!   `Unary` carrying their [`CostKind`], and so on.
 //! - The tree-walker checks pointer-ness of a base address *before*
 //!   evaluating the next operand (`PtrAdd`, `PtrDiff`, `Mem` places).
 //!   A `CheckPtr` instruction is emitted right after the base so a
@@ -46,9 +46,45 @@ pub(crate) enum FastArg {
     Local(u32),
 }
 
+/// A statically based indexed load `base[idx]`: the base is the address
+/// of a frame or global cell and the index is a leaf, so nothing but the
+/// index conversion and the load itself can trap.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IdxLoad {
+    /// Base address is a global cell (else a frame slot).
+    pub(crate) global: bool,
+    /// Global address or frame offset.
+    pub(crate) base: u32,
+    /// Leaf index operand.
+    pub(crate) idx: FastArg,
+    /// Element stride in words.
+    pub(crate) stride: i64,
+}
+
+/// The operands of [`Instr::BranchIfIdxCmp`], `if (base[idx] OP rhs)`,
+/// kept in [`BcModule::idx_conds`] so that [`Instr`] stays compact.
+/// The three charges sit between the instruction's three trap points,
+/// in the tree walker's order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IdxCond {
+    /// The comparison (any binary) operator.
+    pub(crate) op: BinOp,
+    /// The left operand's load.
+    pub(crate) load: IdxLoad,
+    /// Leaf right-hand operand.
+    pub(crate) rhs: FastArg,
+    /// Charged before the index conversion: `branch` + the index leaf.
+    pub(crate) pre_cost: u32,
+    /// Charged after it, before the load: `int_alu + mem_access`.
+    pub(crate) load_cost: u32,
+    /// Charged after the load, before the compare: the right leaf and
+    /// the operator.
+    pub(crate) cmp_cost: u32,
+}
+
 /// One bytecode instruction. Jump operands are absolute indices into
 /// [`BcModule::code`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Instr {
     /// Push an integer constant.
     PushI(i64),
@@ -84,14 +120,8 @@ pub(crate) enum Instr {
     /// mem_access`), so cycle totals at every trap point match the
     /// unfused sequence.
     ReadIdx {
-        /// Base address is a global cell (else a frame slot).
-        global: bool,
-        /// Global address or frame offset.
-        base: u32,
-        /// Leaf index operand.
-        idx: FastArg,
-        /// Element stride in words.
-        stride: i64,
+        /// The load.
+        load: IdxLoad,
         /// Charged before the index conversion (leaf access charge).
         pre_cost: u32,
         /// Charged after it (`int_alu + mem_access`).
@@ -202,6 +232,19 @@ pub(crate) enum Instr {
         /// Jump target when the condition is false.
         else_target: u32,
     },
+    /// Fused `if (base[idx] OP rhs)`: the sequence `Tick(branch)`,
+    /// [`Instr::ReadIdx`], the right leaf, [`Instr::Binary`] and
+    /// [`Instr::BranchIf`] in one step. The index conversion, the load
+    /// and the compare may each trap; the charges between them follow
+    /// [`IdxCond`].
+    BranchIfIdxCmp {
+        /// Index into [`BcModule::idx_conds`].
+        cond: u32,
+        /// Dense branch-counter pair index.
+        branch_idx: u32,
+        /// Jump target when the condition is false.
+        else_target: u32,
+    },
     /// `while` head: cycle-budget check + pre-resolved
     /// `branch + loop_overhead`.
     WhileHead(u64),
@@ -213,22 +256,42 @@ pub(crate) enum Instr {
         /// Jump target on loop exit.
         end: u32,
     },
-    /// Fused `while` condition: [`Instr::BinaryFast`] +
-    /// [`Instr::LoopCond`] (the branch charge stays in the preceding
-    /// [`Instr::WhileHead`]).
-    LoopCondCmp {
+    /// Fused `while`/`for` head over a leaf compare: the cycle-budget
+    /// check, then one charge pre-summing `loop_overhead + branch` with
+    /// the operand and operator charges, the compare, and on true the
+    /// iteration count. Replaces `WhileHead` + [`Instr::LoopCond`] and
+    /// `ForHead` + [`Instr::JumpIfFalseCmp`] + `LoopCount`.
+    LoopHeadCmp {
         /// The comparison (any binary) operator.
         op: BinOp,
         /// Left operand.
         a: FastArg,
         /// Right operand.
         b: FastArg,
-        /// Pre-resolved total cycle cost (operands + op).
+        /// Pre-resolved total cycle cost (overhead + branch + operands +
+        /// op).
         cost: u32,
         /// Dense loop-counter index.
         loop_idx: u32,
         /// Jump target on loop exit.
         end: u32,
+    },
+    /// Fused `for` back edge: the `++`/`--` step of a frame slot (value
+    /// discarded, as [`Instr::IncDecLocal`]), then the
+    /// [`Instr::LoopHeadCmp`] at `head` run inline — budget check
+    /// included, where the tree walker runs it. Emitted only after a
+    /// fused head; `continue` lands here.
+    LoopStep {
+        /// Frame offset of the stepped variable.
+        slot: u32,
+        /// +1 or −1.
+        delta: i64,
+        /// `Some(stride)` when stepping a pointer.
+        ptr_stride: Option<i64>,
+        /// Write cost class.
+        write_cost: WriteCost,
+        /// The loop's `LoopHeadCmp`.
+        head: u32,
     },
     /// `for` head: cycle-budget check + pre-resolved `loop_overhead`.
     ForHead(u64),
@@ -383,6 +446,8 @@ pub(crate) struct BcModule<'m> {
     pub(crate) memo_cost: Vec<u64>,
     /// Profile descriptors referenced by `ProfileEnter`/`ProfileExit` ids.
     pub(crate) profiles: Vec<&'m LProfile>,
+    /// Operands of the `BranchIfIdxCmp` instructions.
+    pub(crate) idx_conds: Vec<IdxCond>,
     /// Per function, the deepest its own code takes the operand stack
     /// above the depth at entry (see [`stack_bound`]). A frame entry
     /// reserves this many slots, so the dispatch loop never grows the
@@ -401,6 +466,7 @@ pub(crate) fn compile<'m>(module: &'m Module, cost: &CostModel) -> BcModule<'m> 
         memos: Vec::new(),
         memo_cost: Vec::new(),
         profiles: Vec::new(),
+        idx_conds: Vec::new(),
         max_stack: Vec::with_capacity(module.funcs.len()),
     };
     let has_profiler = !module.profile_segments.is_empty();
@@ -470,8 +536,10 @@ fn stack_effect(i: &Instr, module: &Module) -> (u32, u32) {
         | Instr::JumpIfFalseCmp { .. }
         | Instr::JumpIfTrueCmp { .. }
         | Instr::BranchIfCmp { .. }
+        | Instr::BranchIfIdxCmp { .. }
         | Instr::WhileHead(..)
-        | Instr::LoopCondCmp { .. }
+        | Instr::LoopHeadCmp { .. }
+        | Instr::LoopStep { .. }
         | Instr::ForHead(..)
         | Instr::DoHead { .. }
         | Instr::LoopCount(..)
@@ -528,18 +596,15 @@ fn stack_bound(bc: &BcModule<'_>, module: &Module, entry: usize) -> u32 {
                 work.push((local(*hit_target), after + u32::from(ret)));
                 work.push((at + 1, after));
             }
-            Instr::JumpIfFalse(t)
-            | Instr::JumpIfTrue(t)
-            | Instr::JumpIfFalseCmp { target: t, .. }
-            | Instr::JumpIfTrueCmp { target: t, .. }
-            | Instr::BranchIf { else_target: t, .. }
-            | Instr::BranchIfCmp { else_target: t, .. }
-            | Instr::LoopCond { end: t, .. }
-            | Instr::LoopCondCmp { end: t, .. } => {
-                work.push((local(*t), after));
+            // Every other jump also falls through. (`LoopStep` never
+            // does, but the pc after it is its head's exit target, so
+            // the walk visits nothing extra.)
+            _ => {
+                if let Some(t) = jump_target(instr) {
+                    work.push((local(t), after));
+                }
                 work.push((at + 1, after));
             }
-            _ => work.push((at + 1, after)),
         }
     }
     max
@@ -568,21 +633,38 @@ struct FnCx<'a, 'm> {
     has_profiler: bool,
 }
 
-/// Patches the jump operand of the instruction at `at`.
-fn set_target(instr: &mut Instr, target: u32) {
+/// The jump operand of `instr`, if it carries one. This is the one list
+/// of jump-carrying instructions: patching, the stack-bound pass and the
+/// tests all go through it, so a new jump cannot escape any of them.
+fn jump_target_mut(instr: &mut Instr) -> Option<&mut u32> {
     match instr {
-        Instr::Jump(t) | Instr::JumpIfFalse(t) | Instr::JumpIfTrue(t) => *t = target,
-        Instr::JumpIfFalseCmp { target: t, .. } | Instr::JumpIfTrueCmp { target: t, .. } => {
-            *t = target
-        }
-        Instr::ShortCircuit { end, .. }
-        | Instr::LoopCond { end, .. }
-        | Instr::LoopCondCmp { end, .. } => *end = target,
-        Instr::BranchIf { else_target, .. } | Instr::BranchIfCmp { else_target, .. } => {
-            *else_target = target
-        }
-        Instr::MemoEnter { hit_target, .. } => *hit_target = target,
-        other => unreachable!("not a patchable jump: {other:?}"),
+        Instr::Jump(t)
+        | Instr::JumpIfFalse(t)
+        | Instr::JumpIfTrue(t)
+        | Instr::JumpIfFalseCmp { target: t, .. }
+        | Instr::JumpIfTrueCmp { target: t, .. }
+        | Instr::ShortCircuit { end: t, .. }
+        | Instr::LoopCond { end: t, .. }
+        | Instr::LoopHeadCmp { end: t, .. }
+        | Instr::LoopStep { head: t, .. }
+        | Instr::BranchIf { else_target: t, .. }
+        | Instr::BranchIfCmp { else_target: t, .. }
+        | Instr::BranchIfIdxCmp { else_target: t, .. }
+        | Instr::MemoEnter { hit_target: t, .. } => Some(t),
+        _ => None,
+    }
+}
+
+/// [`jump_target_mut`], read-only.
+fn jump_target(instr: &Instr) -> Option<u32> {
+    jump_target_mut(&mut { *instr }).copied()
+}
+
+/// Patches the jump operand of `instr`.
+fn set_target(instr: &mut Instr, target: u32) {
+    match jump_target_mut(instr) {
+        Some(t) => *t = target,
+        None => unreachable!("not a patchable jump: {instr:?}"),
     }
 }
 
@@ -625,6 +707,65 @@ impl<'m> FnCx<'_, 'm> {
             }
         }
         None
+    }
+
+    /// The fused head of a `while` or `for` loop whose condition is a
+    /// leaf compare: the tree walker charges `loop_overhead + branch`
+    /// right after the budget check, then evaluates the condition.
+    fn loop_head(&self, cond: &LExpr, loop_idx: u32) -> Option<Instr> {
+        let extra = self.cost.loop_overhead + self.cost.branch;
+        let (op, a, b, cost) = self.fuse_cond(cond, extra)?;
+        Some(Instr::LoopHeadCmp {
+            op,
+            a,
+            b,
+            cost,
+            loop_idx,
+            end: 0,
+        })
+    }
+
+    /// Recognizes the address `base + idx * stride` of an [`IdxLoad`],
+    /// returning it with the index leaf's evaluation charge.
+    fn idx_load(&self, addr: &LExpr) -> Option<(IdxLoad, u64)> {
+        let LExpr::PtrAdd(base, idx, stride) = addr else {
+            return None;
+        };
+        let (global, base) = match &**base {
+            LExpr::AddrGlobal(a) => (true, *a),
+            LExpr::AddrLocal(off) => (false, *off),
+            _ => return None,
+        };
+        let (idx, ci) = self.fast_arg(idx)?;
+        let load = IdxLoad {
+            global,
+            base,
+            idx,
+            stride: *stride,
+        };
+        Some((load, ci))
+    }
+
+    /// Recognizes an `if` condition `base[idx] OP rhs` over an
+    /// [`IdxLoad`] and a leaf, eligible for [`Instr::BranchIfIdxCmp`].
+    fn fuse_idx_cond(&self, cond: &LExpr) -> Option<IdxCond> {
+        let LExpr::Binary(op, lhs, rhs, ck) = cond else {
+            return None;
+        };
+        let LExpr::ReadMem(addr) = &**lhs else {
+            return None;
+        };
+        let (load, ci) = self.idx_load(addr)?;
+        let (rhs, cr) = self.fast_arg(rhs)?;
+        let fits = |c: u64| u32::try_from(c).expect("fused condition cost fits in u32");
+        Some(IdxCond {
+            op: *op,
+            load,
+            rhs,
+            pre_cost: fits(self.cost.branch + ci),
+            load_cost: fits(self.cost.int_alu + self.cost.mem_access),
+            cmp_cost: fits(cr + self.op_cost(*ck)),
+        })
     }
 
     /// Emits a `CheckPtr` for a base-address expression unless it
@@ -754,6 +895,14 @@ impl<'m> FnCx<'_, 'm> {
                         branch_idx: *branch_idx,
                         else_target: 0,
                     })
+                } else if let Some(ic) = self.fuse_idx_cond(cond) {
+                    let id = self.bc.idx_conds.len() as u32;
+                    self.bc.idx_conds.push(ic);
+                    self.emit(Instr::BranchIfIdxCmp {
+                        cond: id,
+                        branch_idx: *branch_idx,
+                        else_target: 0,
+                    })
                 } else {
                     self.emit(Instr::Tick(self.cost.branch));
                     self.expr(cond);
@@ -778,17 +927,10 @@ impl<'m> FnCx<'_, 'm> {
                 loop_idx,
             } => {
                 let top = self.here();
-                self.emit(Instr::WhileHead(self.cost.branch + self.cost.loop_overhead));
-                let lc = if let Some((op, a, b, cost)) = self.fuse_cond(cond, 0) {
-                    self.emit(Instr::LoopCondCmp {
-                        op,
-                        a,
-                        b,
-                        cost,
-                        loop_idx: *loop_idx,
-                        end: 0,
-                    })
+                let lc = if let Some(head) = self.loop_head(cond, *loop_idx) {
+                    self.emit(head)
                 } else {
+                    self.emit(Instr::WhileHead(self.cost.branch + self.cost.loop_overhead));
                     self.expr(cond);
                     self.emit(Instr::LoopCond {
                         loop_idx: *loop_idx,
@@ -864,26 +1006,20 @@ impl<'m> FnCx<'_, 'm> {
                     self.stmt(init);
                 }
                 let top = self.here();
-                self.emit(Instr::ForHead(self.cost.loop_overhead));
-                let mut cond_fix = None;
-                if let Some(cond) = cond {
-                    cond_fix = Some(
-                        if let Some((op, a, b, cost)) = self.fuse_cond(cond, self.cost.branch) {
-                            self.emit(Instr::JumpIfFalseCmp {
-                                op,
-                                a,
-                                b,
-                                cost,
-                                target: 0,
-                            })
-                        } else {
-                            self.emit(Instr::Tick(self.cost.branch));
-                            self.expr(cond);
-                            self.emit(Instr::JumpIfFalse(0))
-                        },
-                    );
-                }
-                self.emit(Instr::LoopCount(*loop_idx));
+                let fused_head = cond.as_ref().and_then(|c| self.loop_head(c, *loop_idx));
+                let fused = fused_head.is_some();
+                let cond_fix = if let Some(head) = fused_head {
+                    Some(self.emit(head))
+                } else {
+                    self.emit(Instr::ForHead(self.cost.loop_overhead));
+                    let fix = cond.as_ref().map(|cond| {
+                        self.emit(Instr::Tick(self.cost.branch));
+                        self.expr(cond);
+                        self.emit(Instr::JumpIfFalse(0))
+                    });
+                    self.emit(Instr::LoopCount(*loop_idx));
+                    fix
+                };
                 self.loops.push(LoopCx {
                     region_depth: self.regions.len(),
                     break_fixups: Vec::new(),
@@ -892,10 +1028,29 @@ impl<'m> FnCx<'_, 'm> {
                 self.block(body);
                 let lp = self.loops.pop().expect("loop context");
                 let cont = self.here();
-                if let Some(step) = step {
-                    self.expr_discard(step);
+                match step {
+                    Some(LExpr::IncDec {
+                        place: LPlace::Local(slot),
+                        delta,
+                        ptr_stride,
+                        write_cost,
+                        ..
+                    }) if fused => {
+                        self.emit(Instr::LoopStep {
+                            slot: *slot,
+                            delta: *delta,
+                            ptr_stride: *ptr_stride,
+                            write_cost: *write_cost,
+                            head: top,
+                        });
+                    }
+                    _ => {
+                        if let Some(step) = step {
+                            self.expr_discard(step);
+                        }
+                        self.emit(Instr::Jump(top));
+                    }
                 }
-                self.emit(Instr::Jump(top));
                 let end = self.here();
                 if let Some(cf) = cond_fix {
                     self.patch_to(cf, end);
@@ -1035,25 +1190,17 @@ impl<'m> FnCx<'_, 'm> {
                 self.emit(Instr::ReadGlobal(*a));
             }
             LExpr::ReadMem(addr) => {
+                let alu_mem = self.cost.int_alu + self.cost.mem_access;
+                let alu_mem = u32::try_from(alu_mem).expect("access cost fits in u32");
+                if let Some((load, ci)) = self.idx_load(addr) {
+                    self.emit(Instr::ReadIdx {
+                        load,
+                        pre_cost: u32::try_from(ci).expect("leaf cost fits in u32"),
+                        post_cost: alu_mem,
+                    });
+                    return;
+                }
                 if let LExpr::PtrAdd(base, idx, stride) = &**addr {
-                    let alu_mem = self.cost.int_alu + self.cost.mem_access;
-                    let alu_mem = u32::try_from(alu_mem).expect("access cost fits in u32");
-                    let static_base = match &**base {
-                        LExpr::AddrGlobal(a) => Some((true, *a)),
-                        LExpr::AddrLocal(off) => Some((false, *off)),
-                        _ => None,
-                    };
-                    if let (Some((global, b)), Some((fi, ci))) = (static_base, self.fast_arg(idx)) {
-                        self.emit(Instr::ReadIdx {
-                            global,
-                            base: b,
-                            idx: fi,
-                            stride: *stride,
-                            pre_cost: u32::try_from(ci).expect("leaf cost fits in u32"),
-                            post_cost: alu_mem,
-                        });
-                        return;
-                    }
                     self.expr(base);
                     self.check_ptr(base);
                     self.expr(idx);
@@ -1266,26 +1413,116 @@ mod tests {
         .expect("compiles");
         let module = crate::lower::lower(&checked);
         let bc = compile(&module, &CostModel::o0());
+        let mut jumps = 0;
         for (i, ins) in bc.code.iter().enumerate() {
-            let t = match ins {
-                Instr::Jump(t)
-                | Instr::JumpIfFalse(t)
-                | Instr::JumpIfTrue(t)
-                | Instr::JumpIfFalseCmp { target: t, .. }
-                | Instr::JumpIfTrueCmp { target: t, .. }
-                | Instr::ShortCircuit { end: t, .. }
-                | Instr::LoopCond { end: t, .. }
-                | Instr::LoopCondCmp { end: t, .. }
-                | Instr::BranchIf { else_target: t, .. }
-                | Instr::BranchIfCmp { else_target: t, .. }
-                | Instr::MemoEnter { hit_target: t, .. } => *t,
-                _ => continue,
-            };
+            let Some(t) = jump_target(ins) else { continue };
+            jumps += 1;
             assert!(
                 (t as usize) < bc.code.len(),
                 "instr {i} jumps out of bounds to {t}"
             );
         }
+        assert!(jumps > 0, "the loop compiled without a jump");
+    }
+
+    /// The names of `f`'s instructions, in code order.
+    fn shapes(src: &str, f: usize) -> Vec<String> {
+        let checked = minic::compile(src).expect("compiles");
+        let module = crate::lower::lower(&checked);
+        let bc = compile(&module, &CostModel::o0());
+        let start = bc.entries[f] as usize;
+        let end = bc.entries.get(f + 1).map_or(bc.code.len(), |&e| e as usize);
+        bc.code[start..end]
+            .iter()
+            .map(|i| {
+                let name = format!("{i:?}");
+                let cut = name.find([' ', '(']).unwrap_or(name.len());
+                name[..cut].to_string()
+            })
+            .collect()
+    }
+
+    /// The loop-control and branch instructions among `shapes`.
+    fn control(shapes: &[String]) -> Vec<&str> {
+        const CONTROL: [&str; 12] = [
+            "LoopHeadCmp",
+            "LoopStep",
+            "BranchIfIdxCmp",
+            "BranchIfCmp",
+            "BranchIf",
+            "ForHead",
+            "WhileHead",
+            "LoopCount",
+            "LoopCond",
+            "JumpIfFalse",
+            "JumpIfFalseCmp",
+            "Jump",
+        ];
+        shapes
+            .iter()
+            .map(String::as_str)
+            .filter(|s| CONTROL.contains(s))
+            .collect()
+    }
+
+    #[test]
+    fn loop_control_and_indexed_ifs_fuse() {
+        let fused = shapes(
+            "int a[8];
+             int main() { int i; int n = 8; int s = 0;
+                 for (i = 0; i < n; i++) if (a[i] != 0) s++;
+                 return s; }",
+            0,
+        );
+        assert_eq!(
+            control(&fused),
+            ["LoopHeadCmp", "BranchIfIdxCmp", "LoopStep"]
+        );
+        let down = shapes(
+            "int main() { int i; int s = 0; int b[4];
+                 for (i = 3; i >= 0; i--) { b[i] = i; if (b[i] > 1) continue; s++; }
+                 return s; }",
+            0,
+        );
+        assert_eq!(
+            control(&down),
+            ["LoopHeadCmp", "BranchIfIdxCmp", "Jump", "LoopStep"]
+        );
+        let wh = shapes(
+            "int main() { int i = 0; int n = 5; while (i < n) i = i + 1; return i; }",
+            0,
+        );
+        assert_eq!(control(&wh), ["LoopHeadCmp", "Jump"]);
+    }
+
+    #[test]
+    fn unfusible_loops_keep_the_plain_sequence() {
+        // A condition that is not a leaf compare keeps the head apart.
+        let call = shapes(
+            "int f(int n) { return n; }
+             int main() { int i; int n = 4; int s = 0;
+                 for (i = 0; i < f(n); i++) s = s + i;
+                 return s; }",
+            1,
+        );
+        assert_eq!(
+            control(&call),
+            ["ForHead", "JumpIfFalse", "LoopCount", "Jump"]
+        );
+        assert!(call.iter().any(|s| s == "IncDecLocal"));
+        // A step that is not `++`/`--` keeps its store and back jump.
+        let step = shapes(
+            "int main() { int i; int s = 0; for (i = 0; i < 9; i += 2) s++; return s; }",
+            0,
+        );
+        assert_eq!(control(&step), ["LoopHeadCmp", "Jump"]);
+        assert!(step.iter().any(|s| s == "AssignOpFin"));
+        let wh = shapes(
+            "int f(int n) { return n; }
+             int main() { int i = 0; while (i < f(3)) i++; return i; }",
+            1,
+        );
+        assert_eq!(control(&wh), ["WhileHead", "LoopCond", "Jump"]);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! The differential and property tests in `tests/` assert bit-for-bit
 //! equal [`Outcome`]s across engines.
 
-use crate::bytecode::{BcModule, FastArg, Instr};
+use crate::bytecode::{BcModule, FastArg, IdxLoad, Instr};
 use crate::cost::{cycles_to_seconds, CostModel};
 use crate::deps_rt::DepRuntime;
 use crate::interp::{
@@ -268,6 +268,42 @@ fn truthy_slow(v: Value) -> Result<bool, Trap> {
     v.truthy()
 }
 
+/// Loads element `i` of the array at `base` (the `PtrAddRead` load) and
+/// notes the read for dependency tracking.
+#[inline(always)]
+fn load_elem(
+    mem: &[Value],
+    dep_rt: &mut DepRuntime,
+    base: usize,
+    i: i64,
+    stride: i64,
+) -> Result<Value, Trap> {
+    let addr = (base as i64).wrapping_add(i.wrapping_mul(stride)) as usize;
+    let v = mem_read(mem, addr)?;
+    if dep_rt.active() {
+        dep_rt.note_read(addr);
+    }
+    Ok(v)
+}
+
+/// [`load_elem`] for an [`IdxLoad`] with its index already converted
+/// (the `ReadIdx` and `BranchIfIdxCmp` load).
+#[inline(always)]
+fn load_idx(
+    mem: &[Value],
+    dep_rt: &mut DepRuntime,
+    frame: usize,
+    load: &IdxLoad,
+    i: i64,
+) -> Result<Value, Trap> {
+    let base = if load.global {
+        load.base as usize
+    } else {
+        frame + load.base as usize
+    };
+    load_elem(mem, dep_rt, base, i, load.stride)
+}
+
 /// Shared `++`/`--` read-modify-write (the `IncDecFin`/`IncDecLocal`
 /// bodies): step the cell at `addr`, store it, and return the old and
 /// new values. The caller charges `int_alu` plus the write; nothing
@@ -467,36 +503,20 @@ impl BcMachine<'_, '_> {
                     let i = pop!(stack, sp).as_int()?;
                     let b = pop!(stack, sp).as_ptr()?;
                     cycles += u64::from(*c);
-                    let addr = (b as i64).wrapping_add(i.wrapping_mul(*stride)) as usize;
-                    let v = mem_read(&self.mem, addr)?;
-                    if self.dep_rt.active() {
-                        self.dep_rt.note_read(addr);
-                    }
+                    let v = load_elem(&self.mem, &mut self.dep_rt, b, i, *stride)?;
                     push!(stack, sp, v);
                     pc += 1;
                 }
                 Instr::ReadIdx {
-                    global,
-                    base,
-                    idx,
-                    stride,
+                    load,
                     pre_cost,
                     post_cost,
                 } => {
-                    let iv = arg!(self.mem, frame, idx);
+                    let iv = arg!(self.mem, frame, &load.idx);
                     cycles += u64::from(*pre_cost);
                     let i = iv.as_int()?;
                     cycles += u64::from(*post_cost);
-                    let b = if *global {
-                        *base as usize
-                    } else {
-                        frame + *base as usize
-                    };
-                    let addr = (b as i64).wrapping_add(i.wrapping_mul(*stride)) as usize;
-                    let v = mem_read(&self.mem, addr)?;
-                    if self.dep_rt.active() {
-                        self.dep_rt.note_read(addr);
-                    }
+                    let v = load_idx(&self.mem, &mut self.dep_rt, frame, load, i)?;
                     push!(stack, sp, v);
                     pc += 1;
                 }
@@ -544,13 +564,6 @@ impl BcMachine<'_, '_> {
                     pc += 1;
                 }
                 Instr::Jump(t) => pc = *t,
-                Instr::JumpIfFalse(t) => {
-                    if truthy(pop!(stack, sp))? {
-                        pc += 1;
-                    } else {
-                        pc = *t;
-                    }
-                }
                 Instr::JumpIfFalseCmp {
                     op,
                     a,
@@ -600,27 +613,58 @@ impl BcMachine<'_, '_> {
                         pc = *else_target;
                     }
                 }
-                Instr::WhileHead(c) => {
-                    check_budget!(cycles, max_cycles);
-                    cycles += *c;
-                    pc += 1;
-                }
-                Instr::LoopCond { loop_idx, end } => {
-                    if truthy(pop!(stack, sp))? {
-                        self.loop_counts[*loop_idx as usize] += 1;
+                Instr::BranchIfIdxCmp {
+                    cond,
+                    branch_idx,
+                    else_target,
+                } => {
+                    let ic = &bc.idx_conds[*cond as usize];
+                    let iv = arg!(self.mem, frame, &ic.load.idx);
+                    cycles += u64::from(ic.pre_cost);
+                    let i = iv.as_int()?;
+                    cycles += u64::from(ic.load_cost);
+                    let x = load_idx(&self.mem, &mut self.dep_rt, frame, &ic.load, i)?;
+                    let y = arg!(self.mem, frame, &ic.rhs);
+                    cycles += u64::from(ic.cmp_cost);
+                    let taken = condition(ic.op, x, y)?;
+                    let slot = (*branch_idx as usize) * 2 + usize::from(!taken);
+                    self.branch_counts[slot] += 1;
+                    if taken {
                         pc += 1;
                     } else {
-                        pc = *end;
+                        pc = *else_target;
                     }
                 }
-                Instr::LoopCondCmp {
-                    op,
-                    a,
-                    b,
-                    cost: c,
-                    loop_idx,
-                    end,
-                } => {
+                Instr::LoopHeadCmp { .. } | Instr::LoopStep { .. } => {
+                    // A `LoopStep` steps its variable, then runs its head.
+                    let head = match instr {
+                        Instr::LoopStep {
+                            slot,
+                            delta,
+                            ptr_stride,
+                            write_cost,
+                            head,
+                        } => {
+                            let addr = frame + *slot as usize;
+                            inc_dec(&mut self.mem, &mut self.dep_rt, addr, *delta, *ptr_stride)?;
+                            cycles += cost.int_alu + write_charge!(cost, write_cost);
+                            pc = *head;
+                            &code[pc as usize]
+                        }
+                        _ => instr,
+                    };
+                    let Instr::LoopHeadCmp {
+                        op,
+                        a,
+                        b,
+                        cost: c,
+                        loop_idx,
+                        end,
+                    } = head
+                    else {
+                        unreachable!("loop step without a fused head")
+                    };
+                    check_budget!(cycles, max_cycles);
                     let x = arg!(self.mem, frame, a);
                     let y = arg!(self.mem, frame, b);
                     cycles += u64::from(*c);
@@ -630,15 +674,6 @@ impl BcMachine<'_, '_> {
                     } else {
                         pc = *end;
                     }
-                }
-                Instr::ForHead(c) => {
-                    check_budget!(cycles, max_cycles);
-                    cycles += *c;
-                    pc += 1;
-                }
-                Instr::LoopCount(loop_idx) => {
-                    self.loop_counts[*loop_idx as usize] += 1;
-                    pc += 1;
                 }
                 Instr::DeclStore { slot, coerce } => {
                     let v = coerce_value(pop!(stack, sp), *coerce)?;
@@ -657,23 +692,6 @@ impl BcMachine<'_, '_> {
                     mem_write(&mut self.mem, frame + *slot as usize, v)?;
                     if *keep {
                         push!(stack, sp, v);
-                    }
-                    pc += 1;
-                }
-                Instr::IncDecLocal {
-                    slot,
-                    delta,
-                    post,
-                    ptr_stride,
-                    write_cost,
-                    keep,
-                } => {
-                    let addr = frame + *slot as usize;
-                    let (old, new) =
-                        inc_dec(&mut self.mem, &mut self.dep_rt, addr, *delta, *ptr_stride)?;
-                    cycles += cost.int_alu + write_charge!(cost, write_cost);
-                    if *keep {
-                        push!(stack, sp, if *post { old } else { new });
                     }
                     pc += 1;
                 }
@@ -778,6 +796,52 @@ impl BcMachine<'_, '_> {
                 } else {
                     pc += 1;
                 }
+            }
+            Instr::JumpIfFalse(t) => {
+                if truthy(pop!(stack, sp))? {
+                    pc += 1;
+                } else {
+                    pc = *t;
+                }
+            }
+            Instr::WhileHead(c) => {
+                check_budget!(cycles, self.max_cycles);
+                cycles += *c;
+                pc += 1;
+            }
+            Instr::LoopCond { loop_idx, end } => {
+                if truthy(pop!(stack, sp))? {
+                    self.loop_counts[*loop_idx as usize] += 1;
+                    pc += 1;
+                } else {
+                    pc = *end;
+                }
+            }
+            Instr::ForHead(c) => {
+                check_budget!(cycles, self.max_cycles);
+                cycles += *c;
+                pc += 1;
+            }
+            Instr::LoopCount(loop_idx) => {
+                self.loop_counts[*loop_idx as usize] += 1;
+                pc += 1;
+            }
+            Instr::IncDecLocal {
+                slot,
+                delta,
+                post,
+                ptr_stride,
+                write_cost,
+                keep,
+            } => {
+                let addr = frame + *slot as usize;
+                let (old, new) =
+                    inc_dec(&mut self.mem, &mut self.dep_rt, addr, *delta, *ptr_stride)?;
+                cycles += cost.int_alu + write_charge!(cost, write_cost);
+                if *keep {
+                    push!(stack, sp, if *post { old } else { new });
+                }
+                pc += 1;
             }
             Instr::JumpIfTrue(t) => {
                 if truthy(pop!(stack, sp))? {

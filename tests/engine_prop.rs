@@ -55,6 +55,57 @@ fn arb_body_expr() -> impl Strategy<Value = String> {
     })
 }
 
+/// A statement of a shape the bytecode compiler fuses, run once per
+/// iteration of `hot`'s loop: an `if` over `buf[k]` or a local array
+/// element with a local index `k` (`BranchIfIdxCmp`), a `while` over a
+/// leaf compare, and a `for` that counts down with a `continue` (both
+/// `LoopHeadCmp`, the `for` also `LoopStep`). Every loop ends within a
+/// few iterations whatever the operator.
+fn arb_fused_stmt() -> impl Strategy<Value = String> {
+    let op = prop_oneof![
+        Just("<"),
+        Just("<="),
+        Just(">"),
+        Just(">="),
+        Just("=="),
+        Just("!="),
+        Just("-"),
+        Just("&")
+    ];
+    let leaf = prop_oneof![
+        Just("x".to_string()),
+        Just("i".to_string()),
+        Just("acc".to_string()),
+        (0i64..12).prop_map(|v| v.to_string()),
+    ];
+    prop_oneof![
+        Just(String::new()),
+        (op.clone(), leaf.clone()).prop_map(|(op, l)| format!(
+            "int k = (x + i) & 7;
+                buf[k] = buf[k] + i;
+                if (buf[k] {op} {l}) acc = acc + k; else acc = acc ^ 5;"
+        )),
+        (op.clone(), leaf.clone()).prop_map(|(op, l)| format!(
+            "int lb[4];
+                int k = i & 3;
+                lb[0] = x; lb[1] = i; lb[2] = acc & 255; lb[3] = 7;
+                if (lb[k] {op} {l}) acc = acc + 3;"
+        )),
+        (op.clone(), leaf.clone()).prop_map(|(op, l)| format!(
+            "int j = 0;
+                while (j {op} {l}) {{ acc = (acc + j) & 65535; j = j + 1; if (j > 5) break; }}"
+        )),
+        (op, leaf, 0i64..6).prop_map(|(op, l, c)| format!(
+            "int j;
+                for (j = (x & 7) + 1; j {op} {l}; j--) {{
+                    if (j == {c}) continue;
+                    acc = acc ^ j;
+                    if (j < -3) break;
+                }}"
+        )),
+    ]
+}
+
 /// The helpers [`arb_body_expr`] calls: a two-argument mixer and a
 /// recursion at most eight calls deep.
 const HELPERS: &str = "
@@ -70,10 +121,16 @@ const HOT_LOCALS: &str = "
             int *p = buf + (x & 7);
             int *q = buf + 3;";
 
-/// The `hot`/`main` template around a generated step expression. With
-/// `div_by` set, a division by `(x - div_by)` is injected so specific
-/// inputs trap.
-fn program_with(body_expr: &str, iters: u8, modulus: u32, div_by: Option<i64>) -> String {
+/// The `hot`/`main` template around a generated step expression and a
+/// fused-shape statement from [`arb_fused_stmt`]. With `div_by` set, a
+/// division by `(x - div_by)` is injected so specific inputs trap.
+fn program_with(
+    body_expr: &str,
+    fused: &str,
+    iters: u8,
+    modulus: u32,
+    div_by: Option<i64>,
+) -> String {
     let step = match div_by {
         Some(k) => format!("acc = (acc + {body_expr}) % {modulus} + x / (x - {k});"),
         None => format!("acc = (acc + {body_expr}) % {modulus};"),
@@ -84,6 +141,7 @@ fn program_with(body_expr: &str, iters: u8, modulus: u32, div_by: Option<i64>) -
             int acc = 1;
             for (int i = 0; i < {iters}; i++) {{
                 {step}
+                {fused}
                 acc = acc < 0 ? -acc : acc;
             }}
             return acc;
@@ -256,12 +314,13 @@ proptest! {
     #[test]
     fn engines_agree_on_random_programs(
         body in arb_body_expr(),
+        fused in arb_fused_stmt(),
         iters in 4u8..24,
         modulus in 17u32..50_000,
         distinct in 3i64..120,
         n in 300usize..1_500,
     ) {
-        let src = program_with(&body, iters, modulus, None);
+        let src = program_with(&body, &fused, iters, modulus, None);
         let input: Vec<i64> = (0..n).map(|i| (i as i64 * 13) % distinct).collect();
         let program = minic::parse(&src).expect("template parses");
         let outcome = run_pipeline(
@@ -322,6 +381,7 @@ proptest! {
     #[test]
     fn engines_trap_identically(
         body in arb_body_expr(),
+        fused in arb_fused_stmt(),
         iters in 4u8..16,
         modulus in 17u32..10_000,
         distinct in 3i64..40,
@@ -330,7 +390,7 @@ proptest! {
         // hot() divides by (x - 7); profiling avoids 7, the run input
         // injects it at a random position, so both engines must trap at
         // exactly the same point with exactly the same trap.
-        let src = program_with(&body, iters, modulus, Some(7));
+        let src = program_with(&body, &fused, iters, modulus, Some(7));
         let profile: Vec<i64> =
             (0..1_000).map(|i| 8 + (i as i64 * 13) % distinct).collect();
         let program = minic::parse(&src).expect("template parses");
