@@ -1,12 +1,13 @@
 //! Emits the JSON runtime-table metrics report for one workload: per-table
-//! accesses, hits, misses, collisions, evictions, guard state, the
-//! adaptive-guard transition journal, and the bytes the value-set
-//! profile's input patterns take (`profile.raw_bytes` at 8 bytes a word,
-//! `profile.packed_bytes` as held).
+//! and per-segment accesses, hits, misses, collisions and evictions, the
+//! table's forced-bypass counts (`bypassed_lookups`, `dropped_records`),
+//! and the bytes the value-set profile's input patterns take
+//! (`profile.raw_bytes` at 8 bytes a word, `profile.packed_bytes` as
+//! held).
 //!
 //! ```text
 //! cargo run --release -p bench --bin metrics -- [workload] [--scale f]
-//!     [--opt o0|o3] [--adaptive] [--alt] [--engine tree|bytecode]
+//!     [--opt o0|o3] [--alt] [--engine tree|bytecode]
 //!     [--bench-engines] [--assert-faster]
 //! ```
 //!
@@ -14,12 +15,7 @@
 //! uses the defaults), the scenario where live rates diverge from the
 //! profile's predictions.
 //!
-//! Defaults: `G721_encode`, scale 0.25, O0, guard disabled (telemetry
-//! only), bytecode engine.
-//! `--adaptive` instantiates the tables through
-//! `ReuseOutcome::make_adaptive_tables`, letting the guard resize or
-//! bypass tables whose live collision rate exceeds the profile's
-//! prediction.
+//! Defaults: `G721_encode`, scale 0.25, O0, bytecode engine.
 //!
 //! `--bench-engines` replaces the metrics report with a host wall-clock
 //! comparison of the two execution engines: the full `run_pipeline` +
@@ -404,7 +400,6 @@ fn main() {
     let mut name_set = false;
     let mut scale = 0.25f64;
     let mut opt = vm::OptLevel::O0;
-    let mut adaptive = false;
     let mut input = InputKind::Default;
     let mut engine = vm::Engine::default();
     let mut bench_mode = false;
@@ -542,7 +537,6 @@ fn main() {
                     other => panic!("--engine needs tree or bytecode, got {other:?}"),
                 };
             }
-            "--adaptive" => adaptive = true,
             "--alt" => input = InputKind::Alt,
             "--bench-engines" => bench_mode = true,
             "--assert-faster" => assert_faster = true,
@@ -622,16 +616,11 @@ fn main() {
             ..PrepareOpts::default()
         },
     );
-    let tables = if adaptive {
-        p.outcome.try_make_adaptive_tables()
-    } else {
-        p.outcome.try_make_tables()
-    };
-    let tables = tables.unwrap_or_else(|e| {
+    let tables = p.outcome.try_make_tables().unwrap_or_else(|e| {
         eprintln!("metrics: invalid table spec: {e}");
         std::process::exit(1);
     });
     let m = execute_with_tables(&p, &w, input, scale, tables);
     assert!(m.output_match, "{name}: outputs diverged");
-    println!("{}", bench::reports::metrics_report_json(&p, &m, adaptive));
+    println!("{}", bench::reports::metrics_report_json(&p, &m));
 }

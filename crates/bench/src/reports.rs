@@ -619,54 +619,12 @@ fn json_table(index: usize, spec: &memo_runtime::TableSpec, t: &MemoTable) -> St
         memo_runtime::TableKind::Lru(_) => "lru",
         memo_runtime::TableKind::Merged(_) => "merged",
     };
-    let pol = t.policy();
-    let tel = t.telemetry();
-    let policy = format!(
-        concat!(
-            "{{\"enabled\":{},\"epoch_len\":{},\"predicted_collision_rate\":{},",
-            "\"margin\":{},\"k_epochs\":{},\"bypass_epochs\":{},\"max_resizes\":{}}}"
-        ),
-        pol.enabled,
-        pol.epoch_len,
-        pol.predicted_collision_rate,
-        pol.margin,
-        pol.k_epochs,
-        pol.bypass_epochs,
-        pol.max_resizes,
-    );
-    let per_segment: Vec<String> = tel.per_segment().iter().map(json_stats).collect();
-    let transitions: Vec<String> = tel
-        .transitions()
-        .iter()
-        .map(|tr| {
-            format!(
-                "{{\"epoch\":{},\"from\":\"{}\",\"to\":\"{}\",\"reason\":\"{}\"}}",
-                tr.epoch,
-                tr.from.name(),
-                tr.to.name(),
-                json_escape(tr.reason),
-            )
-        })
-        .collect();
-    let epochs: Vec<String> = tel
-        .epochs()
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"epoch\":{},\"state\":\"{}\",\"bypassed\":{},\"stats\":{}}}",
-                e.epoch,
-                e.state.name(),
-                e.bypassed,
-                json_stats(&e.stats),
-            )
-        })
-        .collect();
+    let per_segment: Vec<String> = t.per_segment().iter().map(json_stats).collect();
     format!(
         concat!(
             "{{\"index\":{},\"kind\":\"{}\",\"planned_slots\":{},\"slots\":{},",
-            "\"bytes\":{},\"segments\":{},\"state\":\"{}\",\"policy\":{},",
-            "\"stats\":{},\"bypassed_lookups\":{},\"dropped_records\":{},",
-            "\"per_segment\":[{}],\"transitions\":[{}],\"epochs\":[{}]}}"
+            "\"bytes\":{},\"segments\":{},\"stats\":{},\"bypassed_lookups\":{},",
+            "\"dropped_records\":{},\"per_segment\":[{}]}}"
         ),
         index,
         kind,
@@ -674,14 +632,10 @@ fn json_table(index: usize, spec: &memo_runtime::TableSpec, t: &MemoTable) -> St
         t.slots(),
         t.bytes(),
         spec.out_words.len(),
-        t.state().name(),
-        policy,
         json_stats(t.stats()),
-        tel.bypassed_total(),
-        tel.dropped_records(),
+        t.bypassed_total(),
+        t.dropped_records(),
         per_segment.join(","),
-        transitions.join(","),
-        epochs.join(","),
     )
 }
 
@@ -1132,10 +1086,10 @@ pub fn serve_ab_json(s: &crate::serve::AbSummary) -> String {
 }
 
 /// Serialises one measured run into the JSON metrics report: per-table
-/// accesses, hits, misses, collisions, evictions, guard state, the
-/// transition journal, the retained epoch windows, and the size of the
-/// value-set profile's input patterns (raw words against packed bytes).
-pub fn metrics_report_json(p: &Prepared, m: &crate::runner::Measurement, adaptive: bool) -> String {
+/// and per-segment accesses, hits, misses, collisions and evictions, and
+/// the size of the value-set profile's input patterns (raw words against
+/// packed bytes).
+pub fn metrics_report_json(p: &Prepared, m: &crate::runner::Measurement) -> String {
     let tables: Vec<String> = p
         .outcome
         .specs
@@ -1160,14 +1114,13 @@ pub fn metrics_report_json(p: &Prepared, m: &crate::runner::Measurement, adaptiv
         });
     format!(
         concat!(
-            "{{\"workload\":\"{}\",\"opt\":\"{:?}\",\"adaptive\":{},",
+            "{{\"workload\":\"{}\",\"opt\":\"{:?}\",",
             "\"output_match\":{},\"speedup\":{},\"orig_cycles\":{},\"memo_cycles\":{},",
             "\"profile\":{{\"patterns\":{},\"raw_bytes\":{},\"packed_bytes\":{}}},",
             "\"totals\":{},\"tables\":[{}]}}"
         ),
         json_escape(p.name),
         p.opt,
-        adaptive,
         m.output_match,
         m.speedup(),
         m.orig_cycles,

@@ -150,7 +150,6 @@ pub fn build_service(
             workers,
             shards: opts.shards,
             queue_capacity: opts.queue_capacity,
-            adaptive: false,
             cost: CostModel::for_level(opts.opt),
             faults: opts.fault_plan(),
             deadline_cycles: opts.deadline_cycles,

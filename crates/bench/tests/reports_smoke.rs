@@ -127,3 +127,55 @@ fn engine_bench_json_single_engine_is_valid() {
         Some(42.0)
     );
 }
+
+/// The per-table report of the `metrics` binary round-trips through the
+/// strict `bench::json` parser. Every table carries its per-segment
+/// counters (summing to the table's own) and its forced-bypass counts,
+/// and nothing of the retired adaptive guard (no policy, state, epoch
+/// windows or transition journal) is left in it.
+#[test]
+fn metrics_report_json_carries_per_segment_and_bypass_counters() {
+    use bench::runner::{execute, prepare, InputKind};
+
+    let w = workloads::by_name("GNUGO").expect("workload exists");
+    let p = prepare(&w, vm::OptLevel::O0, SCALE);
+    let m = execute(&p, &w, InputKind::Default, SCALE);
+    let report = reports::metrics_report_json(&p, &m);
+    let parsed = bench::json::parse(&report).expect("strict parse");
+    assert_eq!(
+        parsed.get("output_match").and_then(|v| v.as_bool()),
+        Some(true)
+    );
+    for key in ["adaptive", "policy", "state", "epochs", "transitions"] {
+        assert!(!report.contains(&format!("\"{key}\"")), "{key} in {report}");
+    }
+    let tables = parsed
+        .get("tables")
+        .and_then(|v| v.as_array())
+        .expect("tables");
+    assert!(
+        tables
+            .iter()
+            .any(|t| t.get("kind").and_then(|v| v.as_str()) == Some("merged")),
+        "GNUGO plans a merged table"
+    );
+    for t in tables {
+        let count = |v: &bench::json::Json, key: &str| {
+            v.get(key)
+                .and_then(|x| x.as_u64())
+                .unwrap_or_else(|| panic!("{key} in {v:?}"))
+        };
+        assert_eq!(count(t, "bypassed_lookups"), 0);
+        assert_eq!(count(t, "dropped_records"), 0);
+        let segs = t
+            .get("per_segment")
+            .and_then(|v| v.as_array())
+            .expect("per_segment");
+        assert_eq!(segs.len() as u64, count(t, "segments"));
+        let stats = t.get("stats").expect("stats");
+        for key in ["accesses", "hits", "collisions"] {
+            let sum: u64 = segs.iter().map(|s| count(s, key)).sum();
+            assert_eq!(sum, count(stats, key), "{key} split over segments");
+        }
+    }
+}

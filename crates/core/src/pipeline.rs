@@ -200,11 +200,9 @@ pub struct ReuseOutcome {
     /// Value-set profiles of every profiled segment (drives the paper's
     /// histogram figures).
     pub profile: ProfileData,
-    /// Per-table adaptive-guard policies: `predicted_collision_rate` is
-    /// the worst `collision_deduction` among the segments sharing the
-    /// table, at the planned size. Disabled (`enabled: false`) — the
-    /// tables feed telemetry but never change state unless instantiated
-    /// through [`ReuseOutcome::make_adaptive_tables`].
+    /// Retired: the policies of the deleted run-time adaptive guard.
+    /// Always empty ([`memo_runtime::GuardPolicy`] has no values); kept
+    /// only so existing readers of the field still build.
     pub policies: Vec<memo_runtime::GuardPolicy>,
     /// Fingerprint words per table and slot (`table_deps[t][s]`, 0 for
     /// exact-match slots): instantiated tables get their per-slot
@@ -219,65 +217,24 @@ pub struct ReuseOutcome {
 }
 
 impl ReuseOutcome {
-    fn tables_with_policies(
-        &self,
-        enabled: bool,
-    ) -> Result<Vec<memo_runtime::MemoTable>, memo_runtime::SpecError> {
-        self.specs
-            .iter()
-            .enumerate()
-            .zip(&self.policies)
-            .map(|((t, spec), policy)| {
-                let mut table = if spec.out_words.len() > 1 {
-                    memo_runtime::MemoTable::try_merged(spec)?
-                } else {
-                    memo_runtime::MemoTable::try_direct(spec)?
-                };
-                table.set_policy(memo_runtime::GuardPolicy {
-                    enabled,
-                    ..policy.clone()
-                });
-                for (slot, &fpw) in self.table_deps[t].iter().enumerate() {
-                    if fpw > 0 {
-                        table.set_deps(slot, fpw);
-                    }
-                }
-                Ok(table)
-            })
-            .collect()
-    }
-
-    /// Instantiates the planned memo tables. The profile-derived guard
-    /// policies are installed for telemetry but left disabled, so table
-    /// behaviour matches the paper's static scheme exactly.
+    /// Instantiates the planned memo tables (see
+    /// [`memo_runtime::MemoTable::try_from_plan`]).
     ///
     /// # Errors
     ///
     /// Returns [`memo_runtime::SpecError`] when a planned spec is
     /// structurally invalid.
     pub fn try_make_tables(&self) -> Result<Vec<memo_runtime::MemoTable>, memo_runtime::SpecError> {
-        self.tables_with_policies(false)
-    }
-
-    /// Instantiates the planned memo tables with the adaptive guard
-    /// enabled: a table whose live collision rate stays above its
-    /// profile-predicted threshold is resized or bypassed at run time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`memo_runtime::SpecError`] when a planned spec is
-    /// structurally invalid.
-    pub fn try_make_adaptive_tables(
-        &self,
-    ) -> Result<Vec<memo_runtime::MemoTable>, memo_runtime::SpecError> {
-        self.tables_with_policies(true)
+        self.specs
+            .iter()
+            .enumerate()
+            .map(|(t, spec)| memo_runtime::MemoTable::try_from_plan(spec, &self.table_deps[t]))
+            .collect()
     }
 
     /// Instantiates the planned tables as a shareable, sharded store
     /// (`shards` lock shards per table, rounded up to a power of two) for
-    /// concurrent probing through [`vm::RunConfig::shared_tables`]. Guard
-    /// policies are installed per shard, disabled — matching
-    /// [`ReuseOutcome::try_make_tables`].
+    /// concurrent probing through [`vm::RunConfig::shared_tables`].
     ///
     /// # Errors
     ///
@@ -290,19 +247,8 @@ impl ReuseOutcome {
         self.specs
             .iter()
             .enumerate()
-            .zip(&self.policies)
-            .map(|((t, spec), policy)| {
-                let mut table = memo_runtime::ShardedTable::try_from_spec(spec, shards)?;
-                table.set_policy(memo_runtime::GuardPolicy {
-                    enabled: false,
-                    ..policy.clone()
-                });
-                for (slot, &fpw) in self.table_deps[t].iter().enumerate() {
-                    if fpw > 0 {
-                        table.set_deps(slot, fpw);
-                    }
-                }
-                Ok(table)
+            .map(|(t, spec)| {
+                memo_runtime::ShardedTable::try_from_plan(spec, &self.table_deps[t], shards)
             })
             .collect()
     }
@@ -316,18 +262,6 @@ impl ReuseOutcome {
     /// and surface the error instead.
     pub fn make_tables(&self) -> Vec<memo_runtime::MemoTable> {
         self.try_make_tables()
-            .unwrap_or_else(|e| panic!("pipeline planned an invalid table spec: {e}"))
-    }
-
-    /// Instantiates the planned memo tables with the adaptive guard
-    /// enabled, panicking on an invalid spec.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a planned spec is structurally invalid; binaries use
-    /// [`ReuseOutcome::try_make_adaptive_tables`] instead.
-    pub fn make_adaptive_tables(&self) -> Vec<memo_runtime::MemoTable> {
-        self.try_make_adaptive_tables()
             .unwrap_or_else(|e| panic!("pipeline planned an invalid table spec: {e}"))
     }
 }
@@ -632,30 +566,6 @@ pub fn run_pipeline(
     );
     report.decisions = decisions;
 
-    // Per-table guard policies: predict each table's collision rate as the
-    // worst collision deduction (at the planned size) among the segments
-    // assigned to it, so the run-time guard degrades a table only when it
-    // does measurably worse than the profile promised.
-    let mut policies: Vec<memo_runtime::GuardPolicy> = plan
-        .specs
-        .iter()
-        .map(|_| memo_runtime::GuardPolicy {
-            predicted_collision_rate: 0.0,
-            ..memo_runtime::GuardPolicy::default()
-        })
-        .collect();
-    for (k, &i) in chosen.iter().enumerate() {
-        let a = plan.assignments[k];
-        let predicted = profile.segs[i].collision_deduction(plan.specs[a.table].slots);
-        let p = &mut policies[a.table];
-        if predicted > p.predicted_collision_rate {
-            p.predicted_collision_rate = predicted;
-        }
-        if let Some(cap) = config.bytes_cap {
-            p.resize_bytes_cap = Some(cap);
-        }
-    }
-
     let transformed_prog = insert_memos(&checked.program, &memos);
     let transformed =
         minic::check(transformed_prog).map_err(|e| PipelineError::FrontEnd(e.to_string()))?;
@@ -665,7 +575,7 @@ pub fn run_pipeline(
         transformed,
         specs: plan.specs,
         profile,
-        policies,
+        policies: Vec::new(),
         table_deps,
         report,
         spec_plan: None,

@@ -12,9 +12,8 @@
 //! holds one occupancy/fingerprint-length word per slot and `data` holds
 //! the entry bodies at a fixed stride (`key ++ outputs ++ fingerprint
 //! capacity`). Nothing is allocated or freed per recording: a recording
-//! overwrites its slot's words in place. The buffers are rebuilt only by
-//! [`DirectTable::resize`] and when a fingerprint wider than any before
-//! grows the per-entry capacity.
+//! overwrites its slot's words in place. The buffers are rebuilt only
+//! when a fingerprint wider than any before grows the per-entry capacity.
 
 use crate::hash::index_of;
 use crate::stats::TableStats;
@@ -310,33 +309,6 @@ impl DirectTable {
         self.meta.fill(0);
         self.access_counts.fill(0);
     }
-
-    /// Rebuilds the table with `new_slots` slots, rehashing the live
-    /// entries (entries whose new indices clash keep the later one, as a
-    /// normal collision would). Statistics are preserved; the per-slot
-    /// access histogram restarts at zero because slot identities change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_slots` is zero.
-    pub fn resize(&mut self, new_slots: usize) {
-        assert!(new_slots > 0, "table must have at least one slot");
-        let stride = self.stride();
-        let old_meta = std::mem::replace(&mut self.meta, vec![0; new_slots]);
-        let old_data = std::mem::replace(&mut self.data, vec![0; new_slots * stride]);
-        for (slot, &meta) in old_meta.iter().enumerate() {
-            if meta == 0 {
-                continue;
-            }
-            let old = slot * stride;
-            let key = &old_data[old..old + self.key_words];
-            let idx = index_of(key, new_slots);
-            let new = idx * stride;
-            self.data[new..new + stride].copy_from_slice(&old_data[old..old + stride]);
-            self.meta[idx] = meta;
-        }
-        self.access_counts = vec![0; new_slots];
-    }
 }
 
 #[cfg(test)]
@@ -474,22 +446,5 @@ mod tests {
         assert!(t.lookup_dep(&[1], &mut out, false, Some(&mut grab)));
         assert_eq!(out, vec![10]);
         assert_eq!(seen, vec![1, 2]);
-    }
-
-    #[test]
-    fn resize_rehashes_flat_entries() {
-        let mut t = DirectTable::new(4, 1, 1);
-        t.record_dep(&[9], &[90], &[5]);
-        t.resize(32);
-        let mut out = Vec::new();
-        let mut seen = Vec::new();
-        let mut grab = |fp: &[u64]| {
-            seen = fp.to_vec();
-            true
-        };
-        assert!(t.lookup_dep(&[9], &mut out, false, Some(&mut grab)));
-        assert_eq!(out, vec![90]);
-        assert_eq!(seen, vec![5]);
-        assert_eq!(t.occupancy(), 1);
     }
 }

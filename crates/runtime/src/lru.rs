@@ -151,21 +151,6 @@ impl LruTable {
     pub fn clear(&mut self) {
         self.entries.clear();
     }
-
-    /// Changes the buffer capacity; shrinking drops least-recently-used
-    /// entries (counted as evictions).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_capacity` is zero.
-    pub fn set_capacity(&mut self, new_capacity: usize) {
-        assert!(new_capacity > 0, "capacity must be positive");
-        while self.entries.len() > new_capacity {
-            self.entries.pop();
-            self.stats.evictions += 1;
-        }
-        self.capacity = new_capacity;
-    }
 }
 
 #[cfg(test)]

@@ -14,8 +14,7 @@
 //! the bodies at a fixed stride (`key ++ all output groups ++ all
 //! fingerprint groups`). No allocation happens per recording: a
 //! recording overwrites its slot's words in place. The buffers are
-//! rebuilt only by [`MergedTable::resize`] and
-//! [`MergedTable::set_fp_words`].
+//! rebuilt only by [`MergedTable::set_fp_words`].
 
 use crate::hash::index_of;
 use crate::stats::TableStats;
@@ -341,6 +340,11 @@ impl MergedTable {
         &self.slot_stats[slot]
     }
 
+    /// Statistics of every segment slot, in slot order.
+    pub(crate) fn per_slot_stats(&self) -> &[TableStats] {
+        &self.slot_stats
+    }
+
     /// Per-slot access counts (entry-access histograms).
     pub fn access_counts(&self) -> &[u64] {
         &self.access_counts
@@ -353,32 +357,6 @@ impl MergedTable {
     pub fn clear(&mut self) {
         self.valid.fill(0);
         self.access_counts.fill(0);
-    }
-
-    /// Rebuilds the table with `new_slots` slots, rehashing live entries
-    /// (clashing rehashes keep the later entry). Statistics are preserved;
-    /// the access histogram restarts because slot identities change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `new_slots` is zero.
-    pub fn resize(&mut self, new_slots: usize) {
-        assert!(new_slots > 0, "table must have at least one slot");
-        let stride = self.stride();
-        let old_valid = std::mem::replace(&mut self.valid, vec![0; new_slots]);
-        let old_data = std::mem::replace(&mut self.data, vec![0; new_slots * stride]);
-        for (slot, &valid) in old_valid.iter().enumerate() {
-            if valid == 0 {
-                continue;
-            }
-            let old = slot * stride;
-            let key = &old_data[old..old + self.key_words];
-            let idx = index_of(key, new_slots);
-            let new = idx * stride;
-            self.data[new..new + stride].copy_from_slice(&old_data[old..old + stride]);
-            self.valid[idx] = valid;
-        }
-        self.access_counts = vec![0; new_slots];
     }
 }
 
@@ -458,26 +436,6 @@ mod tests {
         assert_eq!(t.slot_stats(1).hits, 0);
         assert_eq!(t.slot_stats(1).misses, 1);
         assert_eq!(t.stats().accesses, 2);
-    }
-
-    #[test]
-    fn resize_rehashes_flat_entries() {
-        let mut t = MergedTable::new(2, 1, &[1, 2]);
-        t.set_fp_words(0, 1);
-        t.record_dep(0, &[3], &[30], &[7]);
-        t.record(1, &[3], &[31, 32]);
-        t.resize(16);
-        let mut out = Vec::new();
-        let mut seen = Vec::new();
-        let mut grab = |fp: &[u64]| {
-            seen = fp.to_vec();
-            true
-        };
-        assert!(t.lookup_dep(0, &[3], &mut out, false, Some(&mut grab)));
-        assert_eq!(out, vec![30]);
-        assert_eq!(seen, vec![7]);
-        assert!(t.lookup(1, &[3], &mut out));
-        assert_eq!(out, vec![31, 32]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! BENCH_pr4 measured a warm shared-store hit ratio of 0.8795 against
 //! 0.8575 cold. This module serialises the *contents* of a set of
 //! [`ShardedTable`]s — every occupied entry (key, outputs, dependency
-//! fingerprint), each shard's folded statistics, and the telemetry
-//! running totals — into a compact versioned word stream, so a restarted
+//! fingerprint), each shard's folded statistics, and its bypass counters
+//! — into a compact versioned word stream, so a restarted
 //! service can resume at the warm hit ratio instead of re-deriving it.
 //!
 //! ## Format
@@ -18,7 +18,7 @@
 //!   per shard:  slots  key_words  seg_count
 //!               per segment: out_words  fp_words
 //!               13 statistics words (TableStats field order)
-//!               3 telemetry words (epoch, bypassed_total, dropped_records)
+//!               2 telemetry words (bypassed_total, dropped_records)
 //!               entry_count
 //!               per entry: slot  meta_word  stride row words
 //! checksum (wrapping sum of every preceding word)
@@ -29,14 +29,14 @@
 //! snapshot taken under different specs (or a corrupted one) is detected
 //! and refused with a typed [`SnapshotError`] instead of poisoning the
 //! store: restore never panics, and a failed restore leaves the caller
-//! free to fall back to a clean cold start. A shard whose enabled guard
-//! resized it (§8c) no longer has the spec's shape, so its snapshot is
-//! refused by a store freshly built from the spec.
+//! free to fall back to a clean cold start. Version 1 streams, which
+//! carried a third telemetry word (the retired adaptive guard's epoch
+//! index), are refused by version and cold-start.
 //!
-//! What a snapshot deliberately does **not** carry: guard state (the
-//! restored store re-learns it from live traffic), per-segment telemetry
-//! splits and closed epoch windows (they describe the dead process), and
-//! TinyLFU sketch frequencies (stale frequencies would mis-admit; the
+//! What a snapshot deliberately does **not** carry: the forced-bypass
+//! flag (a restarted service is not overloaded yet), per-segment
+//! statistics splits (they describe the dead process), and TinyLFU
+//! sketch frequencies (stale frequencies would mis-admit; the
 //! sketch re-warms in one sample period). A strict JSON sibling of the
 //! metadata ([`snapshot_json`]) exists for debugging and is parseable by
 //! the bench crate's reader.
@@ -48,7 +48,7 @@ use crate::sharded::ShardedTable;
 use crate::stats::TableStats;
 
 /// Snapshot format version; bumped on any layout change.
-pub const SNAPSHOT_VERSION: u64 = 1;
+pub const SNAPSHOT_VERSION: u64 = 2;
 
 /// Magic word opening every snapshot ("CRSNAP01").
 const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"CRSNAP01");
@@ -164,10 +164,8 @@ pub fn snapshot_words(stores: &[&ShardedTable]) -> Vec<u64> {
                     words.push(p as u64);
                 }
                 stats_to_words(stats, &mut words);
-                let tel = t.telemetry();
-                words.push(tel.current_epoch());
-                words.push(tel.bypassed_total());
-                words.push(tel.dropped_records());
+                words.push(t.bypassed_total());
+                words.push(t.dropped_records());
                 let count_at = words.len();
                 words.push(0);
                 let mut entries = 0u64;
@@ -237,7 +235,7 @@ impl<'a> Cursor<'a> {
 /// and per-shard geometry — all verified against the stream before any
 /// entry is installed; shard entries are cleared first regardless).
 /// On success every shard holds the snapshotted entries, statistics
-/// baseline, and telemetry running totals.
+/// baseline, and bypass counters.
 ///
 /// # Errors
 ///
@@ -285,7 +283,6 @@ pub fn restore_words(stores: &mut [&mut ShardedTable], words: &[u64]) -> Result<
                 fp_words.push(c.next_usize()?);
             }
             let stats = stats_from_words(c.take(STATS_WORDS)?);
-            let epoch = c.next()?;
             let bypassed_total = c.next()?;
             let dropped_records = c.next()?;
             let entries = c.next_usize()?;
@@ -310,8 +307,7 @@ pub fn restore_words(stores: &mut [&mut ShardedTable], words: &[u64]) -> Result<
                         return Err(SnapshotError::Corrupt("entry row rejected"));
                     }
                 }
-                t.set_stats_baseline(stats);
-                t.restore_telemetry_baseline(epoch, bypassed_total, dropped_records);
+                t.restore_baseline(stats, bypassed_total, dropped_records);
                 Ok(())
             })?;
         }
@@ -364,7 +360,7 @@ fn json_stats(s: &TableStats) -> String {
 }
 
 /// Strict JSON rendering of a snapshot's *metadata* (geometry, entry
-/// counts, statistics, telemetry totals — not the entry payloads), for
+/// counts, statistics, bypass counters — not the entry payloads), for
 /// debugging and the bench reports. The output parses under the bench
 /// crate's strict JSON reader.
 pub fn snapshot_json(stores: &[&ShardedTable]) -> String {
@@ -382,12 +378,11 @@ pub fn snapshot_json(stores: &[&ShardedTable]) -> String {
                         t.export_rows(&mut |_, _, _| entries += 1);
                         let ow: Vec<String> = out_words.iter().map(usize::to_string).collect();
                         let fw: Vec<String> = fp_words.iter().map(usize::to_string).collect();
-                        let tel = t.telemetry();
                         format!(
                             concat!(
                                 "{{\"slots\":{},\"key_words\":{},\"out_words\":[{}],",
                                 "\"fp_words\":[{}],\"entries\":{},\"stats\":{},",
-                                "\"telemetry\":{{\"epoch\":{},\"bypassed_total\":{},",
+                                "\"telemetry\":{{\"bypassed_total\":{},",
                                 "\"dropped_records\":{}}}}}"
                             ),
                             slots,
@@ -396,9 +391,8 @@ pub fn snapshot_json(stores: &[&ShardedTable]) -> String {
                             fw.join(","),
                             entries,
                             json_stats(&shard_stats[i]),
-                            tel.current_epoch(),
-                            tel.bypassed_total(),
-                            tel.dropped_records(),
+                            t.bypassed_total(),
+                            t.dropped_records(),
                         )
                     })
                 })
@@ -430,10 +424,13 @@ mod tests {
         ShardedTable::try_from_spec(&spec(slots, segs), shards).unwrap()
     }
 
+    fn build_fp(slots: usize, fp_widths: &[usize], shards: usize) -> ShardedTable {
+        ShardedTable::try_from_plan(&spec(slots, fp_widths.len()), fp_widths, shards).unwrap()
+    }
+
     #[test]
     fn round_trip_preserves_entries_and_stats() {
-        let mut a = build(64, 1, 4);
-        a.set_deps(0, 2);
+        let a = build_fp(64, &[2], 4);
         let mut out = Vec::new();
         // 16 keys with distinct mod-16 residues: no direct-map collisions,
         // so every recorded entry is still resident at snapshot time.
@@ -446,8 +443,7 @@ mod tests {
             assert!(a.lookup(0, &[k], &mut out));
         }
         let words = snapshot_words(&[&a]);
-        let mut b = build(64, 1, 4);
-        b.set_deps(0, 2);
+        let mut b = build_fp(64, &[2], 4);
         restore_words(&mut [&mut b], &words).unwrap();
         assert_eq!(b.stats(), a.stats(), "statistics baseline restored");
         let mut seen = Vec::new();
@@ -464,15 +460,13 @@ mod tests {
 
     #[test]
     fn merged_stores_round_trip() {
-        let mut a = build(32, 3, 2);
-        a.set_deps(1, 1);
+        let a = build_fp(32, &[0, 1, 0], 2);
         let mut out = Vec::new();
         a.record(0, &[7], &[70]);
         a.record_dep(1, &[7], &[71], &[9]);
         a.record(2, &[8], &[82]);
         let words = snapshot_words(&[&a]);
-        let mut b = build(32, 3, 2);
-        b.set_deps(1, 1);
+        let mut b = build_fp(32, &[0, 1, 0], 2);
         restore_words(&mut [&mut b], &words).unwrap();
         assert!(b.lookup(0, &[7], &mut out));
         assert_eq!(out, vec![70]);

@@ -4,10 +4,8 @@
 //! [`ShardedTable`] wraps the same storage kinds in N power-of-two shards
 //! (std primitives only — the workspace builds offline) so many worker
 //! threads can probe one long-lived reuse store through `&self`. Each
-//! shard is a plain `Mutex` around a complete `MemoTable` — storage,
-//! telemetry, and its own [`AdaptiveGuard`](crate::AdaptiveGuard) — so
-//! the adaptive machinery is evaluated per shard with no extra code, and
-//! every probe, hit or miss, runs the same code a run-private table runs,
+//! shard is a plain `Mutex` around a complete `MemoTable`, so every
+//! probe, hit or miss, runs the same code a run-private table runs,
 //! under the shard lock.
 //!
 //! ## Sharding scheme
@@ -24,8 +22,8 @@
 //! ## What merging preserves
 //!
 //! Every counter increment happens exactly once, under the shard lock:
-//! in the shard table's own statistics and telemetry (per segment, as in
-//! a private table), or — for recordings the admission sketch refuses,
+//! in the shard table's own statistics (per segment, as in a private
+//! table), or — for recordings the admission sketch refuses,
 //! which never touch the table — in the shard's `admission_rejects`
 //! count, which [`ShardedTable::shard_stats`] folds into the shard's
 //! snapshot. The aggregate [`ShardedTable::stats`] is therefore a
@@ -53,7 +51,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::admission::{key_hash64, TinyLfu};
 use crate::faults::{FailPoint, FaultPlan, INJECTED_POISON_PANIC};
-use crate::guard::{GuardPolicy, TableState};
 use crate::hash::hash_words;
 use crate::stats::TableStats;
 use crate::{FpValidator, MemoTable, SpecError, TableSpec};
@@ -84,18 +81,34 @@ pub struct ShardedTable {
 }
 
 impl ShardedTable {
-    /// Builds a sharded store from `spec`, rounding `shards` up to the
-    /// next power of two (minimum 1). The spec's slot budget is divided
-    /// across the shards with *ceiling* division, so the aggregate shard
-    /// capacity is never below `spec.slots` (a 100-slot spec over 8 shards
-    /// serves 104 slots, not 96). Multi-segment specs get merged shards,
-    /// single-segment specs direct-addressed ones, mirroring the
-    /// pipeline's kind choice.
+    /// Builds a sharded store from `spec` with no fingerprinted segment;
+    /// see [`ShardedTable::try_from_plan`].
     ///
     /// # Errors
     ///
     /// Returns [`SpecError`] when the spec is structurally invalid.
     pub fn try_from_spec(spec: &TableSpec, shards: usize) -> Result<Self, SpecError> {
+        Self::try_from_plan(spec, &[], shards)
+    }
+
+    /// Builds a sharded store from a compiler plan's `spec` and per-slot
+    /// fingerprint widths, rounding `shards` up to the next power of two
+    /// (minimum 1). Each shard is the table
+    /// [`MemoTable::try_from_plan`] builds, so multi-segment specs get
+    /// merged shards and single-segment specs direct-addressed ones. The
+    /// spec's slot budget is divided across the shards with *ceiling*
+    /// division, so the aggregate shard capacity is never below
+    /// `spec.slots` (a 100-slot spec over 8 shards serves 104 slots, not
+    /// 96).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SpecError`] when the spec is structurally invalid.
+    pub fn try_from_plan(
+        spec: &TableSpec,
+        fp_widths: &[usize],
+        shards: usize,
+    ) -> Result<Self, SpecError> {
         spec.validate()?;
         let n = shards.max(1).next_power_of_two();
         let per_shard = TableSpec {
@@ -105,11 +118,7 @@ impl ShardedTable {
         };
         let mut built = Vec::with_capacity(n);
         for _ in 0..n {
-            let table = if per_shard.out_words.len() > 1 {
-                MemoTable::try_merged(&per_shard)?
-            } else {
-                MemoTable::try_direct(&per_shard)?
-            };
+            let table = MemoTable::try_from_plan(&per_shard, fp_widths)?;
             built.push(Mutex::new(Shard {
                 table,
                 sketch: None,
@@ -131,15 +140,6 @@ impl ShardedTable {
     /// as on a cold miss, and the probe is not counted in the stats).
     pub fn set_fault_plan(&mut self, plan: Option<Arc<FaultPlan>>) {
         self.faults = plan;
-    }
-
-    /// Installs `policy` on every shard (each shard's guard is reset to
-    /// `Active` and re-windowed). Takes `&mut self`: policies are set at
-    /// build time, before the store is shared.
-    pub fn set_policy(&mut self, policy: GuardPolicy) {
-        for i in 0..self.shards.len() {
-            self.with_shard(i, |t| t.set_policy(policy.clone()));
-        }
     }
 
     fn shard_index(&self, key: &[u64]) -> usize {
@@ -225,14 +225,13 @@ impl ShardedTable {
     /// otherwise the recording is dropped and counted in
     /// [`TableStats::admission_rejects`]. Same-key refreshes and
     /// empty-slot recordings are always admitted. A bypassed shard skips
-    /// the sketch entirely — the §8c guard's decision (drop the record)
-    /// supersedes admission, and the drop lands in bypass telemetry as
-    /// before.
+    /// the sketch entirely: the bypass drops the record, and the drop is
+    /// counted in [`ShardedTable::dropped_records`], not as a reject.
     pub fn record_dep(&self, slot: usize, key: &[u64], outputs: &[u64], fp: &[u64]) {
         let mut guard = self.acquire(self.shard_index(key));
         let shard = &mut *guard;
         let admitted = match &mut shard.sketch {
-            Some(lfu) if shard.table.state() != TableState::Bypassed => {
+            Some(lfu) if !shard.table.is_bypassed() => {
                 let candidate = key_hash64(key);
                 match shard.table.resident_key(key).map(key_hash64) {
                     Some(victim) => lfu.admits(candidate, victim),
@@ -269,15 +268,6 @@ impl ShardedTable {
         self.acquire(0).sketch.is_some()
     }
 
-    /// Declares segment `slot`'s fingerprint width on every shard; see
-    /// [`MemoTable::set_deps`]. Takes `&mut self`: dependency layouts are
-    /// wired at build time, before the store is shared.
-    pub fn set_deps(&mut self, slot: usize, fp_words: usize) {
-        for i in 0..self.shards.len() {
-            self.with_shard(i, |t| t.set_deps(slot, fp_words));
-        }
-    }
-
     /// Number of shards (a power of two).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
@@ -306,10 +296,10 @@ impl ShardedTable {
             .collect()
     }
 
-    /// Per-shard guard states, in shard order.
-    pub fn shard_states(&self) -> Vec<TableState> {
+    /// Per-shard bypass flags, in shard order.
+    pub fn shard_bypassed(&self) -> Vec<bool> {
         (0..self.shards.len())
-            .map(|i| self.with_shard(i, |t| t.state()))
+            .map(|i| self.with_shard(i, |t| t.is_bypassed()))
             .collect()
     }
 
@@ -330,14 +320,14 @@ impl ShardedTable {
     /// Total lookups answered as forced misses by bypassed shards.
     pub fn bypassed_total(&self) -> u64 {
         (0..self.shards.len())
-            .map(|i| self.with_shard(i, |t| t.telemetry().bypassed_total()))
+            .map(|i| self.with_shard(i, |t| t.bypassed_total()))
             .sum()
     }
 
     /// Total recordings dropped by bypassed shards.
     pub fn dropped_records(&self) -> u64 {
         (0..self.shards.len())
-            .map(|i| self.with_shard(i, |t| t.telemetry().dropped_records()))
+            .map(|i| self.with_shard(i, |t| t.dropped_records()))
             .sum()
     }
 
@@ -364,19 +354,18 @@ impl ShardedTable {
         }));
     }
 
-    /// Forces every shard into [`TableState::Bypassed`] (service-level
-    /// degradation under overload), journaling `reason` per shard.
-    pub fn force_bypass(&self, reason: &'static str) {
+    /// Bypasses every shard (service-level degradation under overload);
+    /// see [`MemoTable::force_bypass`].
+    pub fn force_bypass(&self) {
         for i in 0..self.shards.len() {
-            self.with_shard(i, |t| t.force_bypass(reason));
+            self.with_shard(i, MemoTable::force_bypass);
         }
     }
 
-    /// Ends a forced bypass on every shard (enabled guards re-enter via
-    /// probation, disabled ones return to `Active`), journaling `reason`.
-    pub fn end_forced_bypass(&self, reason: &'static str) {
+    /// Ends a forced bypass on every shard.
+    pub fn end_forced_bypass(&self) {
         for i in 0..self.shards.len() {
-            self.with_shard(i, |t| t.end_forced_bypass(reason));
+            self.with_shard(i, MemoTable::end_forced_bypass);
         }
     }
 }
@@ -506,8 +495,7 @@ mod tests {
 
     #[test]
     fn green_validation_and_stale_reds() {
-        let mut t = ShardedTable::try_from_spec(&spec(64), 4).unwrap();
-        t.set_deps(0, 2);
+        let t = ShardedTable::try_from_plan(&spec(64), &[2], 4).unwrap();
         let mut out = Vec::new();
         t.record_dep(0, &[5], &[50], &[9, 10]);
         let mut seen = Vec::new();
@@ -531,7 +519,7 @@ mod tests {
     }
 
     #[test]
-    fn per_segment_telemetry_attributes_every_probe_to_its_segment() {
+    fn per_segment_stats_attribute_every_probe_to_its_segment() {
         let mspec = TableSpec {
             slots: 64,
             key_words: 1,
@@ -554,7 +542,7 @@ mod tests {
         let mut seg1 = TableStats::default();
         for i in 0..t.shard_count() {
             t.with_shard(i, |table| {
-                let per = table.telemetry().per_segment();
+                let per = table.per_segment();
                 if let Some(s) = per.first() {
                     seg0.merge(s);
                 }
@@ -567,52 +555,6 @@ mod tests {
         assert_eq!(seg1.hits, probes, "segment 1 saw every hit");
         assert_eq!(seg0.accesses, 0, "segment 0 was never probed");
         assert_eq!(seg0.hits, 0);
-    }
-
-    #[test]
-    fn guard_resize_is_applied_to_the_shard() {
-        let mut t = ShardedTable::try_from_spec(&spec(1), 1).unwrap();
-        t.set_policy(GuardPolicy {
-            enabled: true,
-            epoch_len: 16,
-            k_epochs: 1,
-            max_resizes: 1,
-            ..GuardPolicy::default()
-        });
-        let mut out = Vec::new();
-        // On one slot every new key's recording evicts the last one, yet
-        // each key hits right after it is recorded: a collision rate far
-        // over the threshold on a table that still earns hits, which the
-        // guard answers by doubling the table.
-        for k in 0..8u64 {
-            assert!(!t.lookup(0, &[k], &mut out));
-            t.record(0, &[k], &[k * 10]);
-            assert!(t.lookup(0, &[k], &mut out));
-            assert_eq!(out, vec![k * 10]);
-        }
-        assert_eq!(t.slots(), 2, "the resize verdict doubled the shard");
-        assert_eq!(t.shard_states(), vec![TableState::Active]);
-        let journal: Vec<&str> = t.with_shard(0, |table| {
-            table
-                .telemetry()
-                .transitions()
-                .iter()
-                .map(|tr| tr.reason)
-                .collect()
-        });
-        assert_eq!(journal, vec!["resize"]);
-        assert!(
-            t.lookup(0, &[7], &mut out),
-            "the rehash kept the live entry"
-        );
-        assert_eq!(out, vec![70]);
-        // Keys 100 and 101 shared the one old slot but not the two new ones.
-        t.record(0, &[100], &[1000]);
-        t.record(0, &[101], &[1010]);
-        assert!(t.lookup(0, &[100], &mut out));
-        assert_eq!(out, vec![1000]);
-        assert!(t.lookup(0, &[101], &mut out));
-        assert_eq!(out, vec![1010]);
     }
 
     #[test]
@@ -679,12 +621,11 @@ mod tests {
         let t = ShardedTable::try_from_spec(&spec(64), 4).unwrap();
         let mut out = Vec::new();
         t.record(0, &[5], &[50]);
-        t.force_bypass("overload shed");
-        assert!(t.shard_states().iter().all(|&s| s == TableState::Bypassed));
+        t.force_bypass();
+        assert!(t.shard_bypassed().iter().all(|&b| b));
         assert!(!t.lookup(0, &[5], &mut out), "bypassed: forced miss");
-        t.end_forced_bypass("overload cleared");
-        // Guards are disabled by default, so they return straight to Active.
-        assert!(t.shard_states().iter().all(|&s| s == TableState::Active));
+        t.end_forced_bypass();
+        assert!(t.shard_bypassed().iter().all(|&b| !b));
         assert!(t.lookup(0, &[5], &mut out), "entries survived the bypass");
         assert_eq!(out, vec![50]);
     }
@@ -759,7 +700,7 @@ mod tests {
     #[test]
     fn bypassed_shards_skip_the_admission_sketch() {
         let t = admission_store(true);
-        t.force_bypass("test");
+        t.force_bypass();
         for k in 0..50u64 {
             t.record(0, &[k], &[k]);
         }
@@ -768,47 +709,6 @@ mod tests {
             0,
             "bypass supersedes admission"
         );
-        assert!(t.dropped_records() >= 50, "records dropped by the guard");
-    }
-
-    #[test]
-    fn per_shard_guard_bypasses_independently() {
-        let mut t = ShardedTable::try_from_spec(&spec(4), 4).unwrap();
-        t.set_policy(GuardPolicy {
-            enabled: true,
-            epoch_len: 16,
-            predicted_collision_rate: 0.0,
-            margin: 0.01,
-            k_epochs: 1,
-            bypass_epochs: 1000,
-            max_resizes: 0,
-            ..GuardPolicy::default()
-        });
-        // Hammer one shard with all-distinct keys until it trips; other
-        // shards must stay active.
-        let mut out = Vec::new();
-        let victim = {
-            // Find two keys in the same shard and one elsewhere.
-            let idx: Vec<usize> = (0..64).map(|k| t.shard_index(&[k])).collect();
-            idx[0]
-        };
-        let same_shard: Vec<u64> = (0..10_000u64)
-            .filter(|&k| t.shard_index(&[k]) == victim)
-            .take(2000)
-            .collect();
-        for &k in &same_shard {
-            assert!(!t.lookup(0, &[k], &mut out));
-            t.record(0, &[k], &[k]);
-        }
-        let states = t.shard_states();
-        assert_eq!(states[victim], TableState::Bypassed);
-        assert!(
-            states
-                .iter()
-                .enumerate()
-                .any(|(i, &s)| i != victim && s == TableState::Active),
-            "independent shards should remain active"
-        );
-        assert!(t.bypassed_total() > 0);
+        assert!(t.dropped_records() >= 50, "records dropped by the bypass");
     }
 }

@@ -94,8 +94,7 @@ impl TableStats {
     }
 
     /// Counter increments since `earlier` (a snapshot of the same table's
-    /// stats). Used by the telemetry layer to attribute per-access deltas
-    /// to windows and segments regardless of table kind.
+    /// stats), e.g. the store traffic of one service batch.
     pub fn delta_since(&self, earlier: &TableStats) -> TableStats {
         TableStats {
             accesses: self.accesses.wrapping_sub(earlier.accesses),

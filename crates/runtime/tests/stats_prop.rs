@@ -4,33 +4,38 @@
 //! - `hits + misses == accesses` (every lookup is exactly one of the two);
 //! - `collisions <= evictions <= insertions` (a collision is an eviction,
 //!   an eviction is an insertion);
-//! - the counters delivered to the telemetry windows sum to the same
-//!   totals as the table's own aggregate stats.
+//! - the per-segment counters sum to the table's aggregate stats.
 
-use memo_runtime::{GuardPolicy, MemoTable, TableSpec, TableStats};
+use memo_runtime::{MemoTable, TableSpec, TableStats};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Lookup(u64),
-    Record(u64, u64),
+    /// Lookup of a key for a segment slot (taken modulo the table's
+    /// segment count).
+    Lookup(usize, u64),
+    Record(usize, u64, u64),
 }
 
 fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
     prop::collection::vec(
         prop_oneof![
-            (0..40u64).prop_map(Op::Lookup),
-            (0..40u64, 0..1000u64).prop_map(|(k, v)| Op::Record(k, v)),
+            (0..3usize, 0..40u64).prop_map(|(s, k)| Op::Lookup(s, k)),
+            (0..3usize, 0..40u64, 0..1000u64).prop_map(|(s, k, v)| Op::Record(s, k, v)),
         ],
         0..300,
     )
 }
 
 fn spec(slots: usize) -> TableSpec {
+    spec_segs(slots, 1)
+}
+
+fn spec_segs(slots: usize, segs: usize) -> TableSpec {
     TableSpec {
         slots,
         key_words: 1,
-        out_words: vec![1],
+        out_words: vec![1; segs],
     }
 }
 
@@ -51,14 +56,14 @@ fn check_invariants(stats: &TableStats) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-fn drive(table: &mut MemoTable, ops: &[Op]) {
+fn drive(table: &mut MemoTable, segs: usize, ops: &[Op]) {
     let mut out = Vec::new();
     for op in ops {
         match *op {
-            Op::Lookup(k) => {
-                table.lookup(0, &[k], &mut out);
+            Op::Lookup(s, k) => {
+                table.lookup(s % segs, &[k], &mut out);
             }
-            Op::Record(k, v) => table.record(0, &[k], &[v]),
+            Op::Record(s, k, v) => table.record(s % segs, &[k], &[v]),
         }
     }
 }
@@ -74,32 +79,24 @@ proptest! {
             MemoTable::try_lru(&spec(slots)).expect("valid spec"),
             MemoTable::try_merged(&spec(slots)).expect("valid spec"),
         ] {
-            drive(&mut table, &ops);
+            drive(&mut table, 1, &ops);
             check_invariants(table.stats())?;
         }
     }
 
-    /// Telemetry windows partition the run: closed epochs plus the open
-    /// window sum to the table's aggregate counters, on every kind.
+    /// Per-segment attribution partitions the run: the segments'
+    /// counters sum to the table's aggregate, on every kind (slot 0 only
+    /// for unmerged specs, three segments for the merged one).
     #[test]
-    fn telemetry_windows_sum_to_aggregate_stats(ops in arb_ops()) {
-        for mut table in [
-            MemoTable::try_direct(&spec(8)).expect("valid spec"),
-            MemoTable::try_lru(&spec(8)).expect("valid spec"),
-            MemoTable::try_merged(&spec(8)).expect("valid spec"),
+    fn per_segment_stats_sum_to_aggregate_stats(ops in arb_ops()) {
+        for (mut table, segs) in [
+            (MemoTable::try_direct(&spec(8)).expect("valid spec"), 1),
+            (MemoTable::try_lru(&spec(8)).expect("valid spec"), 1),
+            (MemoTable::try_merged(&spec_segs(8, 3)).expect("valid spec"), 3),
         ] {
-            table.set_policy(GuardPolicy { epoch_len: 16, ..GuardPolicy::default() });
-            drive(&mut table, &ops);
-            let mut summed = TableStats::default();
-            for e in table.telemetry().epochs() {
-                summed.merge(&e.stats);
-            }
-            summed.merge(table.telemetry().window());
-            prop_assert_eq!(&summed, table.stats());
-            // Per-segment attribution covers the same totals (slot 0 only
-            // for unmerged specs).
+            drive(&mut table, segs, &ops);
             let mut per_seg = TableStats::default();
-            for s in table.telemetry().per_segment() {
+            for s in table.per_segment() {
                 per_seg.merge(s);
             }
             prop_assert_eq!(&per_seg, table.stats());

@@ -80,7 +80,7 @@ use std::time::{Duration, Instant};
 
 use memo_runtime::{
     FailPoint, FaultCounters, FaultPlan, GuardPolicy, MemoTable, ShardedTable, SnapshotError,
-    SpecError, TableSpec, TableState, TableStats,
+    SpecError, TableSpec, TableStats,
 };
 use vm::{CostModel, Module, RunConfig};
 
@@ -90,8 +90,8 @@ pub use queue::{BoundedQueue, PushError};
 
 /// One program the service can serve: the memoized module plus the table
 /// plan the pipeline produced for it (`compreuse::ReuseOutcome`'s
-/// `specs` and `policies`, by value so the service crate stays independent
-/// of the compiler crates).
+/// `specs` and `table_deps`, by value so the service crate stays
+/// independent of the compiler crates).
 #[derive(Debug)]
 pub struct ServiceProgram {
     /// Display name (workload name in the bench harness).
@@ -100,7 +100,9 @@ pub struct ServiceProgram {
     pub module: Module,
     /// Planned table specs, indexed by the module's table ids.
     pub specs: Vec<TableSpec>,
-    /// Per-table adaptive-guard policies (same length as `specs`).
+    /// Retired: the policies of the deleted run-time adaptive guard
+    /// (`compreuse::ReuseOutcome`'s `policies`). Always empty
+    /// ([`GuardPolicy`] has no values) and never read.
     pub policies: Vec<GuardPolicy>,
     /// Per-table, per-slot dependency-fingerprint widths in words
     /// (`compreuse::ReuseOutcome`'s `table_deps`; `0` = exact-match
@@ -121,9 +123,6 @@ pub struct ServiceConfig {
     pub shards: usize,
     /// Bounded queue capacity — in-flight back-pressure limit.
     pub queue_capacity: usize,
-    /// Whether the per-shard adaptive guard may act (default: telemetry
-    /// only, matching `ReuseOutcome::make_tables`).
-    pub adaptive: bool,
     /// Cost model the programs were planned under; bytecode is compiled
     /// against it once per worker.
     pub cost: CostModel,
@@ -175,7 +174,6 @@ impl Default for ServiceConfig {
             workers: 4,
             shards: 8,
             queue_capacity: 64,
-            adaptive: false,
             cost: CostModel::o0(),
             faults: None,
             deadline_cycles: None,
@@ -445,8 +443,8 @@ fn unserved(
 }
 
 impl ReuseService {
-    /// Builds the service: one sharded store per program, policies
-    /// installed per shard (enabled only with [`ServiceConfig::adaptive`]).
+    /// Builds the service: one sharded store per program, built from the
+    /// program's table specs.
     ///
     /// # Errors
     ///
@@ -484,7 +482,7 @@ impl ReuseService {
 
     /// Writes a snapshot of every program's shared store to `path`
     /// (DESIGN.md §8i): all entries, dependency fingerprints, per-shard
-    /// statistics and telemetry baselines, in program-index order. Safe
+    /// statistics and bypass counters, in program-index order. Safe
     /// on a live service — each shard is captured under its lock.
     ///
     /// # Errors
@@ -498,10 +496,9 @@ impl ReuseService {
     /// Restores the stores from a snapshot written by
     /// [`ReuseService::snapshot_to`] under the *same program set and
     /// service shape* (table specs, shard count). On success the service
-    /// resumes warm: entries, statistics and telemetry baselines are back.
+    /// resumes warm: entries, statistics and bypass counters are back.
     /// On *any* failure — missing file, corruption, version or geometry
-    /// mismatch (a shard an enabled guard resized no longer has its
-    /// spec's shape) — the service falls back to fresh, empty stores (a
+    /// mismatch — the service falls back to fresh, empty stores (a
     /// clean cold start) and reports why; it never panics on snapshot
     /// contents.
     ///
@@ -564,13 +561,13 @@ impl ReuseService {
         self.config.faults.as_ref()
     }
 
-    /// Guard state of every shard of every table of every program, in
+    /// Bypass flag of every shard of every table of every program, in
     /// (program, table, shard) order — the degradation ladder's
     /// observable.
-    pub fn store_states(&self) -> Vec<TableState> {
+    pub fn store_bypassed(&self) -> Vec<bool> {
         self.programs
             .iter()
-            .flat_map(|p| p.store.iter().flat_map(ShardedTable::shard_states))
+            .flat_map(|p| p.store.iter().flat_map(ShardedTable::shard_bypassed))
             .collect()
     }
 
@@ -705,7 +702,7 @@ impl ReuseService {
                         if !degraded {
                             degraded = true;
                             degraded_flips += 1;
-                            self.for_each_store(|t| t.force_bypass("queue over high watermark"));
+                            self.for_each_store(ShardedTable::force_bypass);
                         }
                         recover(results.lock())[idx] =
                             Some(unserved(idx, req.program, RequestStatus::Shed, 0, 0));
@@ -713,9 +710,7 @@ impl ReuseService {
                     }
                     if degraded && depth <= self.config.low_watermark {
                         degraded = false;
-                        self.for_each_store(|t| {
-                            t.end_forced_bypass("queue drained to low watermark")
-                        });
+                        self.for_each_store(ShardedTable::end_forced_bypass);
                     }
                 }
                 let mut item = idx;
@@ -760,7 +755,7 @@ impl ReuseService {
             if degraded {
                 // The batch is fully admitted; re-arm the stores so the
                 // next batch starts healthy.
-                self.for_each_store(|t| t.end_forced_bypass("batch admission complete"));
+                self.for_each_store(ShardedTable::end_forced_bypass);
             }
         });
         let wall_seconds = t0.elapsed().as_secs_f64();
@@ -930,12 +925,8 @@ impl ReuseService {
             let rt = &self.programs[req.program];
             let pre = compiled[req.program]
                 .get_or_insert_with(|| vm::precompile(&rt.program.module, &self.config.cost));
-            let tables = private_tables(
-                &rt.program.specs,
-                &rt.program.policies,
-                &rt.program.table_deps,
-            )
-            .unwrap_or_else(|e| panic!("{}: invalid table spec: {e}", rt.program.name));
+            let tables = private_tables(&rt.program)
+                .unwrap_or_else(|e| panic!("{}: invalid table spec: {e}", rt.program.name));
             let mut config = self.run_config_for(req, None);
             config.tables = tables;
             let start = Instant::now();
@@ -986,63 +977,32 @@ impl ReuseService {
     }
 }
 
+/// Fingerprint widths of table `t`'s segment slots in `p`'s plan (empty
+/// when the plan declares none).
+fn fp_widths(p: &ServiceProgram, t: usize) -> &[usize] {
+    p.table_deps.get(t).map_or(&[], Vec::as_slice)
+}
+
 /// Builds one program's sharded shared store from its table plan.
 fn build_store(p: &ServiceProgram, config: &ServiceConfig) -> Result<Vec<ShardedTable>, SpecError> {
     p.specs
         .iter()
-        .zip(&p.policies)
         .enumerate()
-        .map(|(i, (spec, policy))| {
-            let mut t = ShardedTable::try_from_spec(spec, config.shards)?;
-            t.set_policy(GuardPolicy {
-                enabled: config.adaptive,
-                ..policy.clone()
-            });
-            t.set_fault_plan(config.faults.clone());
-            t.set_admission(config.admission);
-            if let Some(deps) = p.table_deps.get(i) {
-                for (slot, &fpw) in deps.iter().enumerate() {
-                    if fpw > 0 {
-                        t.set_deps(slot, fpw);
-                    }
-                }
-            }
-            Ok(t)
+        .map(|(t, spec)| {
+            let mut store = ShardedTable::try_from_plan(spec, fp_widths(p, t), config.shards)?;
+            store.set_fault_plan(config.faults.clone());
+            store.set_admission(config.admission);
+            Ok(store)
         })
         .collect()
 }
 
-/// Instantiates a program's table plan as run-private tables — the same
-/// construction `ReuseOutcome::try_make_tables` performs, duplicated here
-/// so the service crate does not depend on the compiler crates.
-fn private_tables(
-    specs: &[TableSpec],
-    policies: &[GuardPolicy],
-    table_deps: &[Vec<usize>],
-) -> Result<Vec<MemoTable>, SpecError> {
-    specs
+/// Instantiates a program's table plan as run-private tables.
+fn private_tables(p: &ServiceProgram) -> Result<Vec<MemoTable>, SpecError> {
+    p.specs
         .iter()
         .enumerate()
-        .zip(policies)
-        .map(|((i, spec), policy)| {
-            let mut t = if spec.out_words.len() > 1 {
-                MemoTable::try_merged(spec)?
-            } else {
-                MemoTable::try_direct(spec)?
-            };
-            t.set_policy(GuardPolicy {
-                enabled: false,
-                ..policy.clone()
-            });
-            if let Some(deps) = table_deps.get(i) {
-                for (slot, &fpw) in deps.iter().enumerate() {
-                    if fpw > 0 {
-                        t.set_deps(slot, fpw);
-                    }
-                }
-            }
-            Ok(t)
-        })
+        .map(|(t, spec)| MemoTable::try_from_plan(spec, fp_widths(p, t)))
         .collect()
 }
 
@@ -1090,6 +1050,28 @@ mod tests {
             table_deps: outcome.table_deps,
             spec_plan: outcome.spec_plan,
         }
+    }
+
+    #[test]
+    fn a_plan_without_policies_builds_every_table() {
+        // `policies` is retired and always empty; the stores and the
+        // private baseline must still build one table per spec.
+        let mut program = memoized_program("work");
+        assert!(!program.specs.is_empty(), "the plan memoizes something");
+        program.policies = vec![];
+        let svc = ReuseService::new(
+            vec![program],
+            ServiceConfig {
+                workers: 2,
+                ..ServiceConfig::default()
+            },
+        )
+        .expect("valid specs");
+        let requests = mix(12);
+        let report = svc.run(&requests);
+        let baseline = svc.run_private_sequential(&requests);
+        assert_eq!(report.fingerprints(), baseline.fingerprints());
+        assert!(svc.store_stats().hits > 0, "the shared store served hits");
     }
 
     fn mix(n: usize) -> Vec<Request> {
@@ -1276,10 +1258,9 @@ mod tests {
             "one worker behind a 2-deep watermark must shed some of 60 requests"
         );
         assert!(report.degraded_flips >= 1);
-        // After the batch the stores are re-armed (guards are disabled by
-        // default, so they return straight to Active).
+        // After the batch the stores are re-armed.
         assert!(
-            svc.store_states().iter().all(|&s| s == TableState::Active),
+            svc.store_bypassed().iter().all(|&b| !b),
             "stores must be restored after the batch"
         );
         // Shed requests have fingerprint 0 and are excluded; executed

@@ -17,7 +17,7 @@ use crate::lower::{
 use crate::profile::{ProbeScratch, ProfileData, SegProfile};
 use crate::tables::TableHandles;
 use crate::value::{PrintVal, Trap, Value};
-use memo_runtime::{MemoTable, ShardedTable, TableState};
+use memo_runtime::{MemoTable, ShardedTable};
 use minic::ast::{BinOp, UnOp};
 use minic::sema::Builtin;
 use std::sync::Arc;
@@ -577,26 +577,6 @@ impl<'m> Machine<'m> {
     // ------------------------------------------------------------------
 
     fn exec_memo(&mut self, m: &LMemo) -> Result<Flow, Trap> {
-        // An adaptively bypassed table is not probed: the transformed code
-        // pays only the guard-flag branch and falls through to the original
-        // body — no key build, no table traffic. The lookup call still runs
-        // (it is a forced miss) so the table's epoch clock advances toward
-        // its next probation probe. Shared stores never take this path:
-        // their guard state is per shard, and the shard is unknown until
-        // the key is built (`TableHandles::state` reports `Active`).
-        if self.tables.state(m.table as usize) == TableState::Bypassed {
-            self.tick(self.cost.branch);
-            self.out_scratch.clear();
-            let hit = self.tables.lookup(
-                m.table as usize,
-                m.slot as usize,
-                &[],
-                &mut self.out_scratch,
-            );
-            debug_assert!(!hit, "bypassed lookups are forced misses");
-            return self.exec_block(&m.body);
-        }
-
         // Build the concatenated key (paper §2.1: bit patterns of the
         // inputs in a fixed order) on the shared arena; nested segments
         // stack above it.

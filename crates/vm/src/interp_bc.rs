@@ -35,7 +35,6 @@ use crate::lower::{Module, WriteCost};
 use crate::profile::ProbeScratch;
 use crate::tables::TableHandles;
 use crate::value::{PrintVal, Trap, Value};
-use memo_runtime::TableState;
 use minic::ast::BinOp;
 use minic::sema::Builtin;
 
@@ -50,14 +49,13 @@ struct FrameRec {
     stack_top: usize,
 }
 
-/// A live memo/profile region. Memo regions remember whether the table
-/// was armed (probed) and where their key starts in the shared arena;
-/// profile regions remember the entry cycle count.
+/// A live memo/profile region. Memo regions remember where their key
+/// starts in the shared arena; profile regions remember the entry cycle
+/// count.
 #[derive(Debug, Clone, Copy)]
 struct Region {
     memo: bool,
     id: u32,
-    armed: bool,
     key_start: u32,
     entry_cycles: u64,
 }
@@ -1034,30 +1032,6 @@ impl BcMachine<'_, '_> {
     /// Memo segment entry: mirrors `exec_memo` up to the hit/miss fork.
     fn memo_enter(&mut self, id: u32) -> Result<Probe, Trap> {
         let m = self.bc.memos[id as usize];
-        // Bypassed table: pay only the guard branch, run the body with an
-        // unarmed region; the forced-miss probe advances the epoch clock.
-        // Shared stores never take this path — their guard state is per
-        // shard and unknown before the key exists (`TableHandles::state`).
-        if self.tables.state(m.table as usize) == TableState::Bypassed {
-            self.tick(self.cost.branch);
-            self.out_scratch.clear();
-            let hit = self.tables.lookup(
-                m.table as usize,
-                m.slot as usize,
-                &[],
-                &mut self.out_scratch,
-            );
-            debug_assert!(!hit, "bypassed lookups are forced misses");
-            self.regions.push(Region {
-                memo: true,
-                id,
-                armed: false,
-                key_start: self.key_arena.len() as u32,
-                entry_cycles: 0,
-            });
-            return Ok(Probe::Miss);
-        }
-
         let ks = self.key_arena.len();
         for op in &m.inputs {
             read_operand_into(
@@ -1130,7 +1104,6 @@ impl BcMachine<'_, '_> {
             self.regions.push(Region {
                 memo: true,
                 id,
-                armed: true,
                 key_start: ks as u32,
                 entry_cycles: 0,
             });
@@ -1159,9 +1132,6 @@ impl BcMachine<'_, '_> {
     fn memo_exit_normal(&mut self, id: u32) -> Result<(), Trap> {
         let r = self.regions.pop().expect("memo region");
         debug_assert!(r.memo && r.id == id, "region stack out of sync");
-        if !r.armed {
-            return Ok(());
-        }
         self.read_outputs(id)?;
         let m = self.bc.memos[id as usize];
         let tracking = m.fp_words > 0;
@@ -1197,9 +1167,6 @@ impl BcMachine<'_, '_> {
     fn memo_exit_ret(&mut self, id: u32, ret: Value) -> Result<(), Trap> {
         let r = self.regions.pop().expect("memo region");
         debug_assert!(r.memo && r.id == id, "region stack out of sync");
-        if !r.armed {
-            return Ok(());
-        }
         self.read_outputs(id)?;
         let m = self.bc.memos[id as usize];
         let tracking = m.fp_words > 0;
@@ -1240,9 +1207,6 @@ impl BcMachine<'_, '_> {
     fn memo_exit_break(&mut self, id: u32) -> Result<(), Trap> {
         let r = self.regions.pop().expect("memo region");
         debug_assert!(r.memo && r.id == id, "region stack out of sync");
-        if !r.armed {
-            return Ok(());
-        }
         self.read_outputs(id)?;
         if self.bc.memos[id as usize].fp_words > 0 {
             self.dep_rt.pop_frame();
@@ -1284,7 +1248,6 @@ impl BcMachine<'_, '_> {
         self.regions.push(Region {
             memo: false,
             id,
-            armed: false,
             key_start: 0,
             entry_cycles: self.cycles,
         });

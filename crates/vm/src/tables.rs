@@ -5,16 +5,6 @@
 //! per-process scheme, returned in the [`crate::Outcome`]) or a shared
 //! [`ShardedTable`] store owned by a service and outliving the run.
 //!
-//! The two paths differ in one deliberate way: the VM-level bypassed-table
-//! fast path (skip the key build when the whole table is bypassed) only
-//! exists for private tables. A shared store's guard state lives *per
-//! shard*, and the shard is unknown until the key is built, so
-//! `TableHandles::state` reports `Active` for shared handles and a
-//! bypassed shard still answers its forced miss inside `lookup`. Program
-//! results are unaffected (bypass never changes outputs); only the cycle
-//! ledger differs, which is part of the documented store-dependent set
-//! (DESIGN.md §8e).
-//!
 //! Shared probes (`lookup` and the red/green `lookup_dep`) run the same
 //! table code as private probes, under the lock of the shard the key
 //! routes to; the fingerprint validator runs under that lock too, so a
@@ -24,7 +14,7 @@
 
 use std::sync::Arc;
 
-use memo_runtime::{FpValidator, MemoTable, ShardedTable, TableState};
+use memo_runtime::{FpValidator, MemoTable, ShardedTable};
 
 /// The set of reuse tables a run probes, indexed by the module's table ids.
 #[derive(Debug)]
@@ -67,30 +57,6 @@ impl TableHandles {
     /// Whether no tables are available.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Guard state used for the VM-level bypass fast path. Shared handles
-    /// always report `Active`: the shard (and so its guard state) is only
-    /// known after the key is built.
-    pub(crate) fn state(&self, idx: usize) -> TableState {
-        match self {
-            TableHandles::Private(t) => t[idx].state(),
-            TableHandles::Shared(_) => TableState::Active,
-        }
-    }
-
-    /// Looks up `key` for segment `slot` in table `idx`.
-    pub(crate) fn lookup(
-        &mut self,
-        idx: usize,
-        slot: usize,
-        key: &[u64],
-        out: &mut Vec<u64>,
-    ) -> bool {
-        match self {
-            TableHandles::Private(t) => t[idx].lookup(slot, key, out),
-            TableHandles::Shared(t) => t[idx].lookup(slot, key, out),
-        }
     }
 
     /// Dependency-validating lookup (red/green probe path); see

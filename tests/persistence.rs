@@ -6,13 +6,13 @@
 //! restored store to be observationally identical: same statistics,
 //! same hit/miss verdict and payload for every probe shape (exact,
 //! green-validated, forced red). Regression tests then feed corrupt,
-//! truncated, and version-bumped snapshots to both the word-level API
+//! truncated, old-version and version-bumped snapshots to both the
+//! word-level API
 //! and a full `ReuseService`, requiring a clean cold start — never a
 //! panic, never a partial import.
 
 use memo_runtime::{
-    restore_words, snapshot_words, GuardPolicy, ShardedTable, SnapshotError, TableSpec,
-    SNAPSHOT_VERSION,
+    restore_words, snapshot_words, ShardedTable, SnapshotError, TableSpec, SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -21,19 +21,16 @@ use proptest::prelude::*;
 type SegPlan = (usize, usize);
 
 /// Builds a store for `slots`/`shards` with the given segment plan and
-/// admission setting, applying `set_deps` for fingerprinted segments.
+/// admission setting, declaring each segment's fingerprint width.
 fn build_store(slots: usize, shards: usize, segs: &[SegPlan], admission: bool) -> ShardedTable {
     let spec = TableSpec {
         slots,
         key_words: 1,
         out_words: segs.iter().map(|(w, _)| *w).collect(),
     };
-    let mut store = ShardedTable::try_from_spec(&spec, shards).expect("generated spec is valid");
-    for (seg, (_, fp)) in segs.iter().enumerate() {
-        if *fp > 0 {
-            store.set_deps(seg, *fp);
-        }
-    }
+    let fp_widths: Vec<usize> = segs.iter().map(|(_, fp)| *fp).collect();
+    let mut store =
+        ShardedTable::try_from_plan(&spec, &fp_widths, shards).expect("generated spec is valid");
     store.set_admission(admission);
     store
 }
@@ -185,18 +182,40 @@ fn bitflipped_snapshots_are_refused() {
     }
 }
 
+/// A version-1 stream in that format's own layout: one empty store of
+/// one single-segment shard, whose shard carries three telemetry words
+/// (epoch, bypassed_total, dropped_records) where version 2 has two.
+fn v1_snapshot(slots: u64) -> Vec<u64> {
+    let mut words = vec![u64::from_le_bytes(*b"CRSNAP01"), 1, 1, 1, slots, 1, 1, 1, 0];
+    words.extend([0u64; 13]);
+    words.extend([7, 0, 0]);
+    words.push(0);
+    words.push(0);
+    fix_checksum(&mut words);
+    words
+}
+
 #[test]
 fn version_bumped_snapshots_are_refused() {
-    let (segs, _keys, mut words) = snapshot_fixture();
-    words[1] = SNAPSHOT_VERSION + 1;
-    fix_checksum(&mut words);
-    let mut target = build_store(64, 2, &segs, false);
-    let err = restore_words(&mut [&mut target], &words).expect_err("future version must fail");
-    assert!(
-        matches!(err, SnapshotError::UnsupportedVersion(v) if v == SNAPSHOT_VERSION + 1),
-        "unexpected error: {err}"
-    );
-    assert_cold_and_working(&target);
+    let (segs, _keys, mut future) = snapshot_fixture();
+    future[1] = SNAPSHOT_VERSION + 1;
+    fix_checksum(&mut future);
+    let cases = [
+        (v1_snapshot(64), 1, build_store(64, 1, &[(1, 0)], false)),
+        (
+            future,
+            SNAPSHOT_VERSION + 1,
+            build_store(64, 2, &segs, false),
+        ),
+    ];
+    for (words, version, mut target) in cases {
+        let err = restore_words(&mut [&mut target], &words).expect_err("other version must fail");
+        assert!(
+            matches!(err, SnapshotError::UnsupportedVersion(v) if v == version),
+            "unexpected error for version {version}: {err}"
+        );
+        assert_cold_and_working(&target);
+    }
 }
 
 #[test]
@@ -213,37 +232,6 @@ fn geometry_mismatches_are_refused() {
         "unexpected error: {err}"
     );
     assert_cold_and_working(&wrong);
-}
-
-#[test]
-fn resized_shard_snapshots_are_refused_by_a_spec_built_store() {
-    let segs = vec![(1, 0)];
-    let mut resized = build_store(1, 1, &segs, false);
-    resized.set_policy(GuardPolicy {
-        enabled: true,
-        epoch_len: 16,
-        k_epochs: 1,
-        max_resizes: 1,
-        ..GuardPolicy::default()
-    });
-    // Every new key evicts the last from the one slot, yet each hits once
-    // recorded: the guard doubles the shard instead of bypassing it.
-    let mut out = Vec::new();
-    for k in 0..8u64 {
-        resized.lookup(0, &[k], &mut out);
-        resized.record(0, &[k], &[k]);
-        assert!(resized.lookup(0, &[k], &mut out));
-    }
-    assert_eq!(resized.slots(), 2, "the guard resized the shard");
-    let words = snapshot_words(&[&resized]);
-
-    let mut target = build_store(1, 1, &segs, false);
-    let err = restore_words(&mut [&mut target], &words).expect_err("shapes differ");
-    assert!(
-        matches!(err, SnapshotError::GeometryMismatch(_)),
-        "unexpected error: {err}"
-    );
-    assert_cold_and_working(&target);
 }
 
 /// End-to-end through `ReuseService`: warm a tiny service, snapshot it,
