@@ -13,9 +13,11 @@
 //! content fingerprint of the region chunks the recording execution read,
 //! and a probe whose key matches re-validates the fingerprint against the
 //! VM's chunk epochs before trusting the entry (try-mark-green). Invariant
-//! global regions already dropped from the key by the §2.1 filter are
-//! recorded as *non-mutable* dependencies, so stored results also witness
-//! their (expected-constant) contents instead of assuming them.
+//! global regions already dropped from the key by the §2.1 filter, and
+//! written somewhere (a table `main` fills from input), are recorded as
+//! *non-mutable* dependencies, so stored results also witness their
+//! contents instead of assuming them. An invariant region that nothing
+//! writes is not guarded: its contents are its initializer, in every run.
 //!
 //! Key reduction deliberately applies **only to segments with no memory
 //! outputs** (`outputs` empty, a memoized return value present):
@@ -50,9 +52,9 @@ pub struct DepPlan {
 }
 
 impl DepPlan {
-    /// Whether the segment depends on mutable state outside its key. Such
-    /// entries can be trusted only after fingerprint validation
-    /// (try-mark-green) and are forced red under exact-match lookup.
+    /// Whether the segment depends on mutable state outside its key: its
+    /// validated hits are the ones exact matching would have recomputed
+    /// (counted as green hits).
     pub fn green(&self) -> bool {
         self.deps.iter().any(|d| d.mutable)
     }
@@ -255,11 +257,11 @@ mod tests {
     fn invariant_reads_become_non_mutable_deps() {
         let mut sio = io(vec![op("x", 1)], true);
         sio.global_inputs = vec![];
-        sio.invariant_reads = vec![("window".into(), 64)];
+        sio.invariant_reads = vec![("qtab".into(), 64)];
         let plan = plan_deps(&sio);
         assert_eq!(plan.key_words, 1);
         assert_eq!(plan.deps.len(), 1);
-        assert_eq!(plan.deps[0].name, "window");
+        assert_eq!(plan.deps[0].name, "qtab");
         assert!(!plan.deps[0].mutable);
         assert!(!plan.green(), "invariant-only deps are not green");
         assert_eq!(plan.fp_words(), 2);

@@ -41,10 +41,12 @@ pub struct SegIo {
     /// Total output width in words (including the return slot).
     pub out_words: usize,
     /// Directly-named invariant global regions the segment reads, dropped
-    /// from the key by the §2.1 invariance filter: `(name, words)`, sorted
-    /// by name. The dependency planner turns these into non-mutable
-    /// validated dependencies so stored results also witness their
-    /// (expected-constant) contents.
+    /// from the key by the §2.1 invariance filter, that some instruction
+    /// writes (a table filled in `main`): `(name, words)`, sorted by name.
+    /// The dependency planner turns these into non-mutable validated
+    /// dependencies so stored results also witness their contents.
+    /// Regions nothing writes are left out: their initializer is all they
+    /// can ever hold.
     pub invariant_reads: Vec<(String, usize)>,
     /// Names of input operands that resolve to globals, sorted. Key
     /// reduction (moving a mutable region out of the key into a validated
@@ -191,11 +193,15 @@ pub fn seg_io(checked: &Checked, an: &Analyses, seg: &Segment) -> Result<SegIo, 
 
     // Record which invariant *global* regions were dropped, so the
     // dependency planner can re-attach them as validated (non-mutable)
-    // dependencies. Unnameable or non-arithmetic regions are skipped: they
-    // simply stay untracked, as before.
+    // dependencies. Only regions some instruction writes are guarded: a
+    // region nothing writes holds its initializer forever (the §2.1 test
+    // that dropped it from the key), so its guard could never fail.
+    // Unnameable or non-arithmetic regions are skipped: they simply stay
+    // untracked, as before.
+    let ever = an.modref.ever_modified();
     let mut invariant_reads: Vec<(String, usize)> = Vec::new();
     for &v in &invariants {
-        if !matches!(v, VarId::Global(_)) {
+        if !matches!(v, VarId::Global(_)) || !ever.contains(&v) {
             continue;
         }
         let Some(ty) = type_of_var(&checked.info, &checked.program, v) else {

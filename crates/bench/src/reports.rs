@@ -1025,66 +1025,6 @@ pub fn admission_ab_json(ab: &crate::admission::AdmissionAb) -> String {
     )
 }
 
-/// Serialises a [`crate::serve::AbSummary`] — the perturbed-input A/B
-/// benchmark (`metrics --serve --alt`). Each point reports both arms'
-/// cold and warm rounds; `hit_lift` is arm B's warm hit ratio minus arm
-/// A's (what try-mark-green validation buys over exact matching on the
-/// same batch, DESIGN.md §8g).
-pub fn serve_ab_json(s: &crate::serve::AbSummary) -> String {
-    let names: Vec<String> = s
-        .workload_names
-        .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
-        .collect();
-    let points: Vec<String> = s
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "{{\"workers\":{},\"fingerprints_match\":{},\"accounting_ok\":{},",
-                    "\"hit_lift\":{:.6},\"red_hit_ratio\":{:.6},\"green_hit_ratio\":{:.6},",
-                    "\"green_hits\":{},\"stale_reds\":{},",
-                    "\"red\":{{\"cold\":{},\"warm\":{}}},",
-                    "\"green\":{{\"cold\":{},\"warm\":{}}}}}"
-                ),
-                p.workers,
-                p.matches_baseline,
-                p.accounting_ok,
-                p.hit_lift(),
-                p.red_warm.hit_ratio(),
-                p.green_warm.hit_ratio(),
-                p.green_warm.store_delta.green_hits + p.green_cold.store_delta.green_hits,
-                p.green_warm.store_delta.stale_reds + p.green_cold.store_delta.stale_reds,
-                json_service_report(&p.red_cold),
-                json_service_report(&p.red_warm),
-                json_service_report(&p.green_cold),
-                json_service_report(&p.green_warm),
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"bench\":\"serve_ab\",\"scale\":{},\"opt\":\"{:?}\",\"shards\":{},",
-            "\"queue_capacity\":{},\"cpus\":{},\"requests\":{},\"all_match\":{},",
-            "\"all_accounted\":{},\"lift_holds\":{},",
-            "\"workloads\":[{}],\"baseline\":{},\"sweep\":[{}]}}"
-        ),
-        s.opts.scale,
-        s.opts.opt,
-        s.opts.shards,
-        s.opts.queue_capacity,
-        s.cpus,
-        s.requests,
-        s.all_match(),
-        s.all_accounted(),
-        s.lift_holds(),
-        names.join(","),
-        json_service_report(&s.baseline),
-        points.join(","),
-    )
-}
-
 /// Serialises one measured run into the JSON metrics report: per-table
 /// and per-segment accesses, hits, misses, collisions and evictions, and
 /// the size of the value-set profile's input patterns (raw words against

@@ -160,7 +160,6 @@ pub fn build_service(
             backoff_base_ns: 2_000,
             backoff_cap_ns: 200_000,
             admission: opts.admission,
-            ..ServiceConfig::default()
         },
     )
     .unwrap_or_else(|e| panic!("pipeline planned an invalid table spec: {e}"));
@@ -250,131 +249,6 @@ pub fn run_serve(ws: &[Workload], opts: &ServeOpts, worker_counts: &[usize]) -> 
         });
     }
     ServeSummary {
-        opts: opts.clone(),
-        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        workload_names: svc.program_names().iter().map(|s| s.to_string()).collect(),
-        requests: requests.len(),
-        baseline,
-        points,
-    }
-}
-
-/// One worker count's A/B measurement: the same perturbed-input batch
-/// served twice per arm (cold then warm), with arm A forcing red
-/// recomputes (exact-match probing only) and arm B validating recorded
-/// dependencies (try-mark-green, DESIGN.md §8g).
-#[derive(Debug)]
-pub struct AbPoint {
-    /// Worker threads at this point.
-    pub workers: usize,
-    /// Arm A cold round: fresh store, validation off.
-    pub red_cold: ServiceReport,
-    /// Arm A warm round: populated store, validation off. Dependency-keyed
-    /// entries stay red, so only exact-match hits land.
-    pub red_warm: ServiceReport,
-    /// Arm B cold round: fresh store, validation on.
-    pub green_cold: ServiceReport,
-    /// Arm B warm round: populated store, validation on. Entries whose
-    /// recorded dependency fingerprints still hold are promoted green.
-    pub green_warm: ServiceReport,
-    /// Whether all four rounds' executed requests fingerprinted
-    /// identically to the sequential baseline (§8e: validation must never
-    /// change an answer).
-    pub matches_baseline: bool,
-    /// Whether all four rounds' status counts sum to the batch.
-    pub accounting_ok: bool,
-}
-
-impl AbPoint {
-    /// Warm hit-ratio lift of validation: arm B warm minus arm A warm.
-    pub fn hit_lift(&self) -> f64 {
-        self.green_warm.hit_ratio() - self.red_warm.hit_ratio()
-    }
-}
-
-/// The full A/B benchmark result (`metrics --serve --alt`).
-#[derive(Debug)]
-pub struct AbSummary {
-    /// Options the sweep ran under.
-    pub opts: ServeOpts,
-    /// Host CPUs available to the process.
-    pub cpus: usize,
-    /// Program names, in request `program`-index order.
-    pub workload_names: Vec<String>,
-    /// Requests per batch (each workload contributes both default and
-    /// alternate inputs, so warm rounds re-probe under perturbed values).
-    pub requests: usize,
-    /// Sequential baseline: private tables per request, no sharing.
-    pub baseline: ServiceReport,
-    /// One entry per swept worker count.
-    pub points: Vec<AbPoint>,
-}
-
-impl AbSummary {
-    /// Whether every point's executed requests matched the baseline.
-    pub fn all_match(&self) -> bool {
-        self.points.iter().all(|p| p.matches_baseline)
-    }
-
-    /// Whether every point's status counts sum to the batch size.
-    pub fn all_accounted(&self) -> bool {
-        self.points.iter().all(|p| p.accounting_ok)
-    }
-
-    /// Whether validation lifted the warm hit ratio at every point and
-    /// promoted at least one green hit somewhere (the CI gate behind
-    /// `--assert-hit-lift`).
-    pub fn lift_holds(&self) -> bool {
-        !self.points.is_empty()
-            && self.points.iter().all(|p| p.hit_lift() > 0.0)
-            && self
-                .points
-                .iter()
-                .any(|p| p.green_warm.store_delta.green_hits > 0)
-    }
-}
-
-/// Runs the perturbed-input A/B benchmark at each worker count: per
-/// point, the batch is served cold+warm with validation off (arm A),
-/// then again from a fresh store with validation on (arm B). Both arms
-/// execute the identical request sequence against the identical
-/// transformed programs; only the probe policy differs.
-///
-/// # Panics
-///
-/// Panics if the pipeline fails for a workload (see [`build_service`]).
-pub fn run_serve_ab(ws: &[Workload], opts: &ServeOpts, worker_counts: &[usize]) -> AbSummary {
-    let first = worker_counts.first().copied().unwrap_or(1);
-    let (mut svc, requests) = build_service(ws, opts, first);
-    let baseline = svc.run_private_sequential(&requests);
-    let expected = baseline.fingerprints();
-    let mut points = Vec::with_capacity(worker_counts.len());
-    for &workers in worker_counts {
-        svc.set_workers(workers);
-        let mut arm = |validate: bool| {
-            svc.set_fault_plan(opts.fault_plan());
-            svc.set_validate(validate);
-            svc.reset_stores().expect("specs already built once");
-            let cold = svc.run(&requests);
-            let warm = svc.run(&requests);
-            (cold, warm)
-        };
-        let (red_cold, red_warm) = arm(false);
-        let (green_cold, green_warm) = arm(true);
-        let rounds = [&red_cold, &red_warm, &green_cold, &green_warm];
-        let matches_baseline = rounds.iter().all(|r| executed_matches(r, &expected));
-        let accounting_ok = rounds.iter().all(|r| r.accounting_holds(requests.len()));
-        points.push(AbPoint {
-            workers,
-            red_cold,
-            red_warm,
-            green_cold,
-            green_warm,
-            matches_baseline,
-            accounting_ok,
-        });
-    }
-    AbSummary {
         opts: opts.clone(),
         cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         workload_names: svc.program_names().iter().map(|s| s.to_string()).collect(),
@@ -557,43 +431,6 @@ mod tests {
                 p.workers
             );
         }
-    }
-
-    #[test]
-    fn ab_sweep_lifts_hit_ratio_without_changing_answers() {
-        let ws = vec![workloads::unepic::unepic(), workloads::gnugo::gnugo()];
-        let opts = ServeOpts {
-            scale: 0.05,
-            requests_per_workload: 3,
-            ..ServeOpts::default()
-        };
-        let summary = run_serve_ab(&ws, &opts, &[1, 2]);
-        assert!(summary.all_match(), "an arm changed an executed answer");
-        assert!(summary.all_accounted(), "status counts lost a request");
-        for p in &summary.points {
-            // §8e: both arms and both rounds execute identical requests,
-            // so all four fingerprint sets must be equal.
-            let fp = p.red_cold.fingerprints();
-            for r in [&p.red_warm, &p.green_cold, &p.green_warm] {
-                assert_eq!(
-                    fp,
-                    r.fingerprints(),
-                    "arms diverged at {} workers",
-                    p.workers
-                );
-            }
-            assert!(
-                p.hit_lift() > 0.0,
-                "validation gave no lift at {} workers: red {:.4} green {:.4}",
-                p.workers,
-                p.red_warm.hit_ratio(),
-                p.green_warm.hit_ratio()
-            );
-            // Arm A must never report a green hit (validation is off).
-            assert_eq!(p.red_cold.store_delta.green_hits, 0);
-            assert_eq!(p.red_warm.store_delta.green_hits, 0);
-        }
-        assert!(summary.lift_holds());
     }
 
     #[test]

@@ -421,3 +421,61 @@ fn cold_segment_whose_key_read_traps_is_rejected_as_cold() {
         "{rejects:?}"
     );
 }
+
+/// Plans `w` with validation on (profiled on its default input at scale
+/// 0.05) and returns `(segment, fp_words, green)` for every decision.
+fn validated_plan(w: &workloads::Workload) -> Vec<(String, usize, bool)> {
+    let program = minic::parse(&w.source).expect("parse");
+    let config = PipelineConfig {
+        profile_input: (w.default_input)(0.05),
+        enable_validation: true,
+        ..PipelineConfig::default()
+    };
+    let outcome = run_pipeline(&program, &config).expect("pipeline");
+    outcome
+        .report
+        .decisions
+        .iter()
+        .map(|d| (d.name.clone(), d.fp_words, d.green))
+        .collect()
+}
+
+/// Validation guards an invariant table only if some instruction writes
+/// it. G721's `power2`, MPEG2's `dctcoef`/`idctcoef` and RASTA's `window`
+/// are never written, so their segments plan no fingerprint; UNEPIC's
+/// `qtab` is filled in `main` from input-independent code and keeps its
+/// one-region guard; GNU Go's board readers keep their mutable (green)
+/// dependency.
+#[test]
+fn validation_guards_only_written_invariants() {
+    // (workload, segment, fp_words, green), grouped by workload.
+    let expect = [
+        ("G721_encode", "quan__spec:body", 0, false),
+        ("G721_encode", "update:body", 0, false),
+        ("G721_decode", "quan__spec:body", 0, false),
+        ("G721_decode", "update:body", 0, false),
+        ("MPEG2_encode", "fdct:body", 0, false),
+        ("MPEG2_decode", "ref_idct:body", 0, false),
+        ("RASTA", "fr4tr:body", 0, false),
+        ("UNEPIC", "collapse_pyr:body", 2, false),
+        ("GNUGO", "density_bucket:body", 2, true),
+        ("GNUGO", "dist_bucket:body", 2, true),
+    ];
+    let mut planned = ("", Vec::new());
+    for (name, seg, fp_words, green) in expect {
+        if planned.0 != name {
+            let w = workloads::by_name(name).expect("workload exists");
+            planned = (name, validated_plan(&w));
+        }
+        let got = planned
+            .1
+            .iter()
+            .find(|(n, _, _)| n == seg)
+            .unwrap_or_else(|| panic!("{name}: no decision for {seg}"));
+        assert_eq!(
+            (got.1, got.2),
+            (fp_words, green),
+            "{name} {seg}: (fp_words, green)"
+        );
+    }
+}

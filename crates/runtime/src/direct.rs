@@ -17,7 +17,7 @@
 
 use crate::hash::index_of;
 use crate::stats::TableStats;
-use crate::FpValidator;
+use crate::{refuse_fingerprint, FpValidator};
 
 /// A direct-addressed memo table mapping an input key (concatenated 64-bit
 /// words) to recorded output words.
@@ -115,7 +115,9 @@ impl DirectTable {
     }
 
     /// Looks `key` up; on a hit copies the recorded outputs into `out`
-    /// (cleared first) and returns `true`.
+    /// (cleared first) and returns `true`. An entry recorded with a
+    /// dependency fingerprint cannot be checked here, so it answers as a
+    /// stale red (see [`DirectTable::lookup_dep`]).
     ///
     /// # Panics
     ///
@@ -123,50 +125,41 @@ impl DirectTable {
     /// (widths are validated once at spec level; see
     /// [`crate::TableSpec::validate`]).
     pub fn lookup(&mut self, key: &[u64], out: &mut Vec<u64>) -> bool {
-        self.lookup_dep(key, out, false, None)
+        self.lookup_dep(key, out, false, &mut refuse_fingerprint)
     }
 
     /// Dependency-validating lookup (the red/green probe path).
     ///
-    /// `green` marks the probing segment as depending on *mutable* regions:
-    /// with no `validate` closure (exact-match mode) such entries can never
-    /// be trusted and the probe is answered as a forced red recompute; with
-    /// a closure, a key-matched entry's fingerprint is passed to it and the
-    /// entry is promoted to a hit only on `true` (counted in `green_hits`),
-    /// otherwise the probe is a stale red (`stale_reds`, also a miss).
-    /// Entries recorded without a fingerprint behave exactly as before.
+    /// A key-matched entry recorded with a fingerprint is passed to
+    /// `validate` and promoted to a hit only on `true`; otherwise the
+    /// probe is a stale red (`stale_reds`, also a miss). `green` marks the
+    /// probing segment as depending on *mutable* regions, so its validated
+    /// hits also count in `green_hits`. Entries recorded without a
+    /// fingerprint never consult the validator.
     pub fn lookup_dep(
         &mut self,
         key: &[u64],
         out: &mut Vec<u64>,
         green: bool,
-        mut validate: FpValidator,
+        validate: FpValidator,
     ) -> bool {
         debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
         let idx = index_of(key, self.meta.len());
         self.stats.accesses += 1;
         self.access_counts[idx] += 1;
-        if green && validate.is_none() {
-            // Exact-match mode cannot verify external dependencies, so the
-            // entry (if any) is untrusted: forced red.
-            self.stats.misses += 1;
-            return false;
-        }
         let meta = self.meta[idx];
         let base = idx * self.stride();
         if meta != 0 && self.data[base..base + self.key_words] == *key {
             let fp_len = (meta >> 1) as usize;
             if fp_len > 0 {
-                if let Some(v) = validate.as_mut() {
-                    let fplo = base + self.key_words + self.out_words;
-                    if !v(&self.data[fplo..fplo + fp_len]) {
-                        self.stats.misses += 1;
-                        self.stats.stale_reds += 1;
-                        return false;
-                    }
-                    if green {
-                        self.stats.green_hits += 1;
-                    }
+                let fplo = base + self.key_words + self.out_words;
+                if !validate(&self.data[fplo..fplo + fp_len]) {
+                    self.stats.misses += 1;
+                    self.stats.stale_reds += 1;
+                    return false;
+                }
+                if green {
+                    self.stats.green_hits += 1;
                 }
             }
             self.stats.hits += 1;
@@ -421,14 +414,14 @@ mod tests {
             seen = fp.to_vec();
             true
         };
-        assert!(t.lookup_dep(&[1], &mut out, false, Some(&mut grab)));
+        assert!(t.lookup_dep(&[1], &mut out, false, &mut grab));
         assert_eq!(out, vec![10]);
         assert_eq!(seen, vec![0xAA]);
         let mut grab2 = |fp: &[u64]| {
             seen = fp.to_vec();
             true
         };
-        assert!(t.lookup_dep(&[2], &mut out, false, Some(&mut grab2)));
+        assert!(t.lookup_dep(&[2], &mut out, false, &mut grab2));
         assert_eq!(seen, vec![0xBB, 0xCC, 0xDD]);
     }
 
@@ -443,7 +436,7 @@ mod tests {
             seen = fp.to_vec();
             true
         };
-        assert!(t.lookup_dep(&[1], &mut out, false, Some(&mut grab)));
+        assert!(t.lookup_dep(&[1], &mut out, false, &mut grab));
         assert_eq!(out, vec![10]);
         assert_eq!(seen, vec![1, 2]);
     }

@@ -68,10 +68,17 @@ pub enum GuardPolicy {}
 
 /// Probe-time dependency-fingerprint validator (DESIGN.md §8g): given an
 /// entry's recorded fingerprint, decide whether its dependencies still
-/// hold (`true` promotes the entry green). `None` disables validation —
-/// green-marked entries are then forced red, invariant-only fingerprints
-/// are trusted as-is.
-pub type FpValidator<'a> = Option<&'a mut dyn FnMut(&[u64]) -> bool>;
+/// hold (`true` promotes the entry to a hit). Every key-matched entry that
+/// carries a fingerprint goes through it; fingerprint-free entries never
+/// do.
+pub type FpValidator<'a> = &'a mut dyn FnMut(&[u64]) -> bool;
+
+/// The validator behind the plain `lookup`s, which have no dependency
+/// state to check a fingerprint against: every fingerprinted entry is a
+/// stale red there.
+pub(crate) fn refuse_fingerprint(_fp: &[u64]) -> bool {
+    false
+}
 
 /// A structurally invalid [`TableSpec`], reported once at table
 /// construction (the per-access checks are `debug_assert!`s).
@@ -406,16 +413,13 @@ impl MemoTable {
 
     /// Dependency-validating lookup: the red/green probe path.
     ///
-    /// `green` marks segment `slot` as depending on *mutable* regions.
-    /// With `validate: None` (exact-match mode) a green segment's probe is
-    /// answered as a forced red recompute — exact matching cannot trust
-    /// external dependencies — while fingerprint-free and invariant-only
-    /// entries behave exactly like [`MemoTable::lookup`]. With a closure,
-    /// a key-matched entry's fingerprint is passed to it; `true` promotes
-    /// the entry to a hit (a *green hit* when `green`), `false` demotes the
-    /// probe to a stale red (counted in both `misses` and `stale_reds`).
-    /// Bypassed tables answer a forced miss without consulting storage or
-    /// the validator.
+    /// A key-matched entry's fingerprint is passed to `validate`; `true`
+    /// promotes the entry to a hit (a *green hit* when `green` marks
+    /// segment `slot` as depending on *mutable* regions), `false` demotes
+    /// the probe to a stale red (counted in both `misses` and
+    /// `stale_reds`). Fingerprint-free entries behave exactly like
+    /// [`MemoTable::lookup`]. Bypassed tables answer a forced miss without
+    /// consulting storage or the validator.
     pub fn lookup_dep(
         &mut self,
         slot: usize,
@@ -697,7 +701,7 @@ mod tests {
             let mut out = Vec::new();
             // Cold miss, then record with a fingerprint.
             let mut nope = |_: &[u64]| unreachable!("no entry to validate");
-            assert!(!t.lookup_dep(0, &[9], &mut out, true, Some(&mut nope)));
+            assert!(!t.lookup_dep(0, &[9], &mut out, true, &mut nope));
             t.record_dep(0, &[9], &[42], &[0b1010, 77]);
             // Validator accepts: green hit.
             let mut seen = Vec::new();
@@ -705,25 +709,25 @@ mod tests {
                 seen = fp.to_vec();
                 true
             };
-            assert!(t.lookup_dep(0, &[9], &mut out, true, Some(&mut ok)));
+            assert!(t.lookup_dep(0, &[9], &mut out, true, &mut ok));
             assert_eq!(out, vec![42]);
             assert_eq!(seen, vec![0b1010, 77], "validator sees the stored fp");
             // Validator rejects: stale red, counted as a miss too.
             let mut no = |_: &[u64]| false;
-            assert!(!t.lookup_dep(0, &[9], &mut out, true, Some(&mut no)));
-            // Exact-match mode never trusts a mutable-dep entry.
-            assert!(!t.lookup_dep(0, &[9], &mut out, true, None));
+            assert!(!t.lookup_dep(0, &[9], &mut out, true, &mut no));
+            // The plain lookup cannot check a fingerprint: stale red.
+            assert!(!t.lookup(0, &[9], &mut out));
             let s = t.stats();
             assert_eq!(s.accesses, 4);
             assert_eq!(s.hits, 1);
             assert_eq!(s.green_hits, 1);
-            assert_eq!(s.stale_reds, 1);
+            assert_eq!(s.stale_reds, 2);
             assert_eq!(s.misses, 3);
         }
     }
 
     #[test]
-    fn invariant_only_entries_hit_without_a_validator() {
+    fn invariant_only_entries_are_validated_but_not_green() {
         let spec = TableSpec {
             slots: 8,
             key_words: 1,
@@ -732,17 +736,15 @@ mod tests {
         let mut t = MemoTable::direct(&spec);
         let mut out = Vec::new();
         t.record_dep(0, &[3], &[30], &[u64::MAX, 5]);
-        // green=false: an invariant-only segment's entry is trusted in
-        // exact-match mode (matching the profile-trusting seed behavior)…
-        assert!(t.lookup_dep(0, &[3], &mut out, false, None));
-        assert_eq!(out, vec![30]);
-        // …and validated when a validator is supplied, without counting as
-        // a green hit.
+        // green=false: an invariant-only segment's entry is validated like
+        // any other, but a pass is not a green hit…
         let mut ok = |_: &[u64]| true;
-        assert!(t.lookup_dep(0, &[3], &mut out, false, Some(&mut ok)));
+        assert!(t.lookup_dep(0, &[3], &mut out, false, &mut ok));
+        assert_eq!(out, vec![30]);
         assert_eq!(t.stats().green_hits, 0);
+        // …and a failed guard is a stale red.
         let mut no = |_: &[u64]| false;
-        assert!(!t.lookup_dep(0, &[3], &mut out, false, Some(&mut no)));
+        assert!(!t.lookup_dep(0, &[3], &mut out, false, &mut no));
         assert_eq!(t.stats().stale_reds, 1);
     }
 
@@ -757,7 +759,7 @@ mod tests {
         let mut out = Vec::new();
         t.record(0, &[4], &[40]);
         let mut boom = |_: &[u64]| panic!("fp-free entry must not validate");
-        assert!(t.lookup_dep(0, &[4], &mut out, false, Some(&mut boom)));
+        assert!(t.lookup_dep(0, &[4], &mut out, false, &mut boom));
         assert_eq!(out, vec![40]);
     }
 

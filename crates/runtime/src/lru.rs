@@ -6,7 +6,7 @@
 //! is used." Capacities are small, so lookup is a linear scan.
 
 use crate::stats::TableStats;
-use crate::FpValidator;
+use crate::{refuse_fingerprint, FpValidator};
 
 /// One buffer entry: `(key words, output words, dependency fingerprint)`.
 /// The fingerprint is empty for exact-match-only entries (an empty boxed
@@ -64,13 +64,14 @@ impl LruTable {
     }
 
     /// Looks `key` up; on a hit copies outputs into `out`, promotes the
-    /// entry to most-recently-used, and returns `true`.
+    /// entry to most-recently-used, and returns `true`. A fingerprinted
+    /// entry answers as a stale red, as in [`crate::DirectTable::lookup`].
     ///
     /// # Panics
     ///
     /// In debug builds, panics if `key` has the wrong number of words.
     pub fn lookup(&mut self, key: &[u64], out: &mut Vec<u64>) -> bool {
-        self.lookup_dep(key, out, false, None)
+        self.lookup_dep(key, out, false, &mut refuse_fingerprint)
     }
 
     /// Dependency-validating lookup; same contract as
@@ -80,25 +81,19 @@ impl LruTable {
         key: &[u64],
         out: &mut Vec<u64>,
         green: bool,
-        mut validate: FpValidator,
+        validate: FpValidator,
     ) -> bool {
         debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
         self.stats.accesses += 1;
-        if green && validate.is_none() {
-            self.stats.misses += 1;
-            return false;
-        }
         if let Some(pos) = self.entries.iter().position(|(k, _, _)| **k == *key) {
             if !self.entries[pos].2.is_empty() {
-                if let Some(v) = validate.as_mut() {
-                    if !v(&self.entries[pos].2) {
-                        self.stats.misses += 1;
-                        self.stats.stale_reds += 1;
-                        return false;
-                    }
-                    if green {
-                        self.stats.green_hits += 1;
-                    }
+                if !validate(&self.entries[pos].2) {
+                    self.stats.misses += 1;
+                    self.stats.stale_reds += 1;
+                    return false;
+                }
+                if green {
+                    self.stats.green_hits += 1;
                 }
             }
             let entry = self.entries.remove(pos);

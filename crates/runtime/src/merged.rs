@@ -18,7 +18,7 @@
 
 use crate::hash::index_of;
 use crate::stats::TableStats;
-use crate::FpValidator;
+use crate::{refuse_fingerprint, FpValidator};
 
 /// A direct-addressed table shared by up to 64 segments with identical
 /// inputs.
@@ -146,14 +146,16 @@ impl MergedTable {
     }
 
     /// Looks `key` up for segment `slot`; on a hit (key matches *and* the
-    /// slot's valid bit is set) copies that slot's outputs into `out`.
+    /// slot's valid bit is set) copies that slot's outputs into `out`. A
+    /// fingerprinted slot's entry answers as a stale red, as in
+    /// [`crate::DirectTable::lookup`].
     ///
     /// # Panics
     ///
     /// In debug builds, panics on width mismatch or out-of-range slot
     /// (out-of-range slots still panic in release via indexing).
     pub fn lookup(&mut self, slot: usize, key: &[u64], out: &mut Vec<u64>) -> bool {
-        self.lookup_dep(slot, key, out, false, None)
+        self.lookup_dep(slot, key, out, false, &mut refuse_fingerprint)
     }
 
     /// Dependency-validating lookup; same contract as
@@ -165,7 +167,7 @@ impl MergedTable {
         key: &[u64],
         out: &mut Vec<u64>,
         green: bool,
-        mut validate: FpValidator,
+        validate: FpValidator,
     ) -> bool {
         debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
         assert!(slot < self.out_words.len(), "slot out of range");
@@ -173,28 +175,21 @@ impl MergedTable {
         self.stats.accesses += 1;
         self.slot_stats[slot].accesses += 1;
         self.access_counts[idx] += 1;
-        if green && validate.is_none() {
-            self.stats.misses += 1;
-            self.slot_stats[slot].misses += 1;
-            return false;
-        }
         let base = idx * self.stride();
         if self.valid[idx] >> slot & 1 == 1 && self.data[base..base + self.key_words] == *key {
             let fplo = base + self.key_words + self.total_out_words + self.fp_offsets[slot];
             let fphi = fplo + self.fp_words[slot];
             if fphi > fplo {
-                if let Some(v) = validate.as_mut() {
-                    if !v(&self.data[fplo..fphi]) {
-                        self.stats.misses += 1;
-                        self.stats.stale_reds += 1;
-                        self.slot_stats[slot].misses += 1;
-                        self.slot_stats[slot].stale_reds += 1;
-                        return false;
-                    }
-                    if green {
-                        self.stats.green_hits += 1;
-                        self.slot_stats[slot].green_hits += 1;
-                    }
+                if !validate(&self.data[fplo..fphi]) {
+                    self.stats.misses += 1;
+                    self.stats.stale_reds += 1;
+                    self.slot_stats[slot].misses += 1;
+                    self.slot_stats[slot].stale_reds += 1;
+                    return false;
+                }
+                if green {
+                    self.stats.green_hits += 1;
+                    self.slot_stats[slot].green_hits += 1;
                 }
             }
             self.stats.hits += 1;

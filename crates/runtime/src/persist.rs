@@ -17,7 +17,8 @@
 //! per store:  shard_count
 //!   per shard:  slots  key_words  seg_count
 //!               per segment: out_words  fp_words
-//!               13 statistics words (TableStats field order)
+//!               9 statistics words (accesses hits green_hits stale_reds
+//!                 misses collisions evictions insertions admission_rejects)
 //!               2 telemetry words (bypassed_total, dropped_records)
 //!               entry_count
 //!               per entry: slot  meta_word  stride row words
@@ -29,9 +30,11 @@
 //! snapshot taken under different specs (or a corrupted one) is detected
 //! and refused with a typed [`SnapshotError`] instead of poisoning the
 //! store: restore never panics, and a failed restore leaves the caller
-//! free to fall back to a clean cold start. Version 1 streams, which
-//! carried a third telemetry word (the retired adaptive guard's epoch
-//! index), are refused by version and cold-start.
+//! free to fall back to a clean cold start. Older versions are refused
+//! by version and cold-start: version 1 carried a third telemetry word
+//! (the retired adaptive guard's epoch index), and version 2 carried 13
+//! statistics words, four of them counters of retired layers that were
+//! always 0 (optimistic hits and retries, L1 hits and promotions).
 //!
 //! What a snapshot deliberately does **not** carry: the forced-bypass
 //! flag (a restarted service is not overloaded yet), per-segment
@@ -48,13 +51,13 @@ use crate::sharded::ShardedTable;
 use crate::stats::TableStats;
 
 /// Snapshot format version; bumped on any layout change.
-pub const SNAPSHOT_VERSION: u64 = 2;
+pub const SNAPSHOT_VERSION: u64 = 3;
 
 /// Magic word opening every snapshot ("CRSNAP01").
 const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"CRSNAP01");
 
 /// Words one [`TableStats`] occupies in the stream.
-const STATS_WORDS: usize = 13;
+const STATS_WORDS: usize = 9;
 
 /// Why a snapshot could not be written or restored. Every restore-side
 /// variant means "fall back to a cold start" — never a panic.
@@ -116,10 +119,6 @@ fn stats_to_words(s: &TableStats, words: &mut Vec<u64>) {
         s.collisions,
         s.evictions,
         s.insertions,
-        s.optimistic_hits,
-        s.optimistic_retries,
-        s.l1_hits,
-        s.promotions,
         s.admission_rejects,
     ]);
 }
@@ -134,11 +133,8 @@ fn stats_from_words(w: &[u64]) -> TableStats {
         collisions: w[5],
         evictions: w[6],
         insertions: w[7],
-        optimistic_hits: w[8],
-        optimistic_retries: w[9],
-        l1_hits: w[10],
-        promotions: w[11],
-        admission_rejects: w[12],
+        admission_rejects: w[8],
+        ..TableStats::default()
     }
 }
 
@@ -340,8 +336,7 @@ fn json_stats(s: &TableStats) -> String {
         concat!(
             "{{\"accesses\":{},\"hits\":{},\"green_hits\":{},\"stale_reds\":{},",
             "\"misses\":{},\"collisions\":{},\"evictions\":{},\"insertions\":{},",
-            "\"optimistic_hits\":{},\"optimistic_retries\":{},",
-            "\"l1_hits\":{},\"promotions\":{},\"admission_rejects\":{}}}"
+            "\"admission_rejects\":{}}}"
         ),
         s.accesses,
         s.hits,
@@ -351,10 +346,6 @@ fn json_stats(s: &TableStats) -> String {
         s.collisions,
         s.evictions,
         s.insertions,
-        s.optimistic_hits,
-        s.optimistic_retries,
-        s.l1_hits,
-        s.promotions,
         s.admission_rejects,
     )
 }
@@ -439,8 +430,9 @@ mod tests {
                 a.record_dep(0, &[k], &[k * 3], &[k, k + 1]);
             }
         }
+        let mut accept = |_: &[u64]| true;
         for k in 0..16u64 {
-            assert!(a.lookup(0, &[k], &mut out));
+            assert!(a.lookup_dep(0, &[k], &mut out, false, &mut accept));
         }
         let words = snapshot_words(&[&a]);
         let mut b = build_fp(64, &[2], 4);
@@ -452,7 +444,7 @@ mod tests {
                 seen = fp.to_vec();
                 true
             };
-            assert!(b.lookup_dep(0, &[k], &mut out, false, Some(&mut grab)));
+            assert!(b.lookup_dep(0, &[k], &mut out, false, &mut grab));
             assert_eq!(out, vec![k * 3]);
             assert_eq!(seen, vec![k, k + 1], "fingerprints survive the trip");
         }
@@ -471,7 +463,7 @@ mod tests {
         assert!(b.lookup(0, &[7], &mut out));
         assert_eq!(out, vec![70]);
         let mut ok = |fp: &[u64]| fp == [9];
-        assert!(b.lookup_dep(1, &[7], &mut out, true, Some(&mut ok)));
+        assert!(b.lookup_dep(1, &[7], &mut out, true, &mut ok));
         assert_eq!(out, vec![71]);
         assert!(b.lookup(2, &[8], &mut out));
         assert_eq!(out, vec![82]);

@@ -53,7 +53,7 @@ use crate::admission::{key_hash64, TinyLfu};
 use crate::faults::{FailPoint, FaultPlan, INJECTED_POISON_PANIC};
 use crate::hash::hash_words;
 use crate::stats::TableStats;
-use crate::{FpValidator, MemoTable, SpecError, TableSpec};
+use crate::{refuse_fingerprint, FpValidator, MemoTable, SpecError, TableSpec};
 
 /// One lock shard's contents: the table and its admission state.
 #[derive(Debug)]
@@ -183,7 +183,7 @@ impl ShardedTable {
     /// forced miss, as does a fired [`FailPoint::ProbeMiss`] (which skips
     /// the probe entirely, leaving statistics untouched).
     pub fn lookup(&self, slot: usize, key: &[u64], out: &mut Vec<u64>) -> bool {
-        self.lookup_dep(slot, key, out, false, None)
+        self.lookup_dep(slot, key, out, false, &mut refuse_fingerprint)
     }
 
     /// Dependency-validating lookup in the shard the key hashes to; same
@@ -503,18 +503,18 @@ mod tests {
             seen = fp.to_vec();
             true
         };
-        assert!(t.lookup_dep(0, &[5], &mut out, true, Some(&mut ok)));
+        assert!(t.lookup_dep(0, &[5], &mut out, true, &mut ok));
         assert_eq!(out, vec![50]);
         assert_eq!(seen, vec![9, 10], "validator sees the stored fp");
         let mut no = |_: &[u64]| false;
-        assert!(!t.lookup_dep(0, &[5], &mut out, true, Some(&mut no)));
-        // Forced red: green with no validator never trusts the entry.
-        assert!(!t.lookup_dep(0, &[5], &mut out, true, None));
+        assert!(!t.lookup_dep(0, &[5], &mut out, true, &mut no));
+        // The plain lookup cannot check the fingerprint: also stale.
+        assert!(!t.lookup(0, &[5], &mut out));
         let s = t.stats();
         assert_eq!(s.accesses, 3);
         assert_eq!(s.hits, 1);
         assert_eq!(s.green_hits, 1);
-        assert_eq!(s.stale_reds, 1);
+        assert_eq!(s.stale_reds, 2);
         assert_eq!(s.misses, 2);
     }
 

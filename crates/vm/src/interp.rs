@@ -79,16 +79,6 @@ pub struct RunConfig {
     pub max_depth: usize,
     /// Which execution engine to use.
     pub engine: Engine,
-    /// Try-mark-green validation. When `true` (the default), probes of
-    /// fingerprinted segments validate stored dependency fingerprints
-    /// against the live chunk epochs: entries whose dependencies are
-    /// provably unchanged are promoted to (green) hits, the rest
-    /// recompute. When `false`, lookups are exact-match only: segments
-    /// with *mutable* dependencies are forced red (their entries cannot
-    /// be trusted without validation), which is the A-arm baseline of
-    /// the perturbed-input experiment. Either way the executed answer is
-    /// identical — validation only changes which probes recompute.
-    pub validate: bool,
 }
 
 impl Default for RunConfig {
@@ -103,7 +93,6 @@ impl Default for RunConfig {
             max_cycles: u64::MAX,
             max_depth: 4096,
             engine: Engine::default(),
-            validate: true,
         }
     }
 }
@@ -245,7 +234,6 @@ fn run_on_current_thread(module: &Module, config: RunConfig) -> Result<Outcome, 
         probe_scratch: ProbeScratch::default(),
         dep_rt: DepRuntime::new(module),
         fp_scratch: Vec::new(),
-        validate: config.validate,
     };
 
     let ret = m.call(module.main, &[])?;
@@ -313,8 +301,6 @@ struct Machine<'m> {
     dep_rt: DepRuntime,
     /// Reused fingerprint buffer (cleared per record).
     fp_scratch: Vec<u64>,
-    /// Whether probes of fingerprinted segments run validation.
-    validate: bool,
 }
 
 impl<'m> Machine<'m> {
@@ -598,12 +584,10 @@ impl<'m> Machine<'m> {
         self.table_words += (m.key_words + m.out_words) as u64;
 
         // Fingerprinted segments validate stored dependency fingerprints
-        // against the live chunk epochs (try-mark-green) when enabled;
-        // with validation off, green segments fall to forced red inside
-        // the table (the validator stays `None`).
+        // against the live chunk epochs (try-mark-green); fingerprint-free
+        // entries never reach the validator.
         let fp_words = m.fp_words as usize;
-        let validating = fp_words > 0 && self.validate;
-        if validating {
+        if fp_words > 0 {
             self.tick(self.cost.fp_probe_cost(fp_words));
             self.table_words += fp_words as u64;
         }
@@ -617,11 +601,7 @@ impl<'m> Machine<'m> {
                 &self.key_arena[ks..],
                 &mut self.out_scratch,
                 m.green,
-                if validating {
-                    Some(&mut validator)
-                } else {
-                    None
-                },
+                &mut validator,
             )
         };
         if hit {
@@ -659,10 +639,7 @@ impl<'m> Machine<'m> {
 
         // Miss: run the body — under a recording frame when the segment
         // is fingerprinted, so the entry can witness what it read — then
-        // record outputs (and return value). Frames are maintained even
-        // with validation off: the store may later serve validating
-        // probes, and an entry without a fingerprint could never be
-        // trusted by them.
+        // record outputs (and return value).
         let tracking = fp_words > 0;
         if tracking {
             self.dep_rt.push_frame();

@@ -190,7 +190,6 @@ pub(crate) fn run_bc(
         probe_scratch: ProbeScratch::default(),
         dep_rt: DepRuntime::new(module),
         fp_scratch: Vec::new(),
-        validate: config.validate,
     };
 
     let entry = m.enter_function(module.main, &[], HALT)?;
@@ -378,8 +377,6 @@ struct BcMachine<'m, 'b> {
     dep_rt: DepRuntime,
     /// Reused fingerprint buffer (cleared per record).
     fp_scratch: Vec<u64>,
-    /// Whether probes of fingerprinted segments run validation.
-    validate: bool,
 }
 
 impl BcMachine<'_, '_> {
@@ -1049,8 +1046,7 @@ impl BcMachine<'_, '_> {
         // the tree-walker's `exec_memo` (fp costs come from the shared
         // `CostModel`, computed at runtime — `memo_cost` stays exact-match).
         let fp_words = m.fp_words as usize;
-        let validating = fp_words > 0 && self.validate;
-        if validating {
+        if fp_words > 0 {
             self.tick(self.cost.fp_probe_cost(fp_words));
             self.table_words += fp_words as u64;
         }
@@ -1064,11 +1060,7 @@ impl BcMachine<'_, '_> {
                 &self.key_arena[ks..],
                 &mut self.out_scratch,
                 m.green,
-                if validating {
-                    Some(&mut validator)
-                } else {
-                    None
-                },
+                &mut validator,
             )
         };
         if hit {

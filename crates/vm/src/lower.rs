@@ -250,8 +250,8 @@ pub struct LMemo {
     pub out_words: u32,
     /// Fingerprint words per table entry (`2 × deps.len()`, cached).
     pub fp_words: u32,
-    /// Whether any dependency is mutable: entries must be validated
-    /// before they can be trusted (try-mark-green).
+    /// Whether any dependency is mutable: a validated hit is then one
+    /// exact matching would have recomputed (counted as a green hit).
     pub green: bool,
 }
 

@@ -289,3 +289,78 @@ fn tiny_tables_change_performance_not_semantics() {
         assert!(t.bytes() < 256, "cap respected: {}", t.bytes());
     }
 }
+
+/// A table `main` fills from input is invariant for `score` (so §2.1
+/// drops it from the key) but differs between runs. Validation guards
+/// it: a warm run over shared tables recorded by a run with other table
+/// contents must recompute (stale reds) and print what a run from
+/// scratch prints.
+#[test]
+fn input_filled_table_guard_fires_on_a_warm_run_with_new_contents() {
+    let src = "
+        int tab[16];
+        int score(int x) {
+            int i; int s; s = 0;
+            for (i = 0; i < 16; i++) { s = s + tab[i] * (x + i); }
+            return s;
+        }
+        int main() {
+            int i; int total; total = 0;
+            for (i = 0; i < 16; i++) { tab[i] = input(); }
+            while (!eof()) { total = total + score(input() % 8); }
+            print(total);
+            return 0;
+        }";
+    let input = |tab_base: i64| -> Vec<i64> {
+        let mut v: Vec<i64> = (0..16).map(|i| tab_base + 3 * i).collect();
+        v.extend((0..400).map(|i| i * 7));
+        v
+    };
+    let (cold_input, warm_input) = (input(1), input(40));
+    let program = minic::parse(src).expect("parse");
+    let outcome = run_pipeline(
+        &program,
+        &PipelineConfig {
+            profile_input: cold_input.clone(),
+            enable_validation: true,
+            ..PipelineConfig::default()
+        },
+    )
+    .expect("pipeline");
+    let score = outcome
+        .report
+        .decisions
+        .iter()
+        .find(|d| d.name == "score:body")
+        .expect("score is a candidate");
+    assert!(score.chosen, "score must be memoized");
+    assert_eq!(score.fp_words, 2, "tab is guarded by one fingerprint");
+    assert!(!score.green, "tab is invariant, not a mutable dependency");
+
+    let module = vm::lower(&outcome.transformed);
+    let shared = std::sync::Arc::new(outcome.try_make_shared_tables(4).expect("valid specs"));
+    let run_shared = |input: Vec<i64>| {
+        vm::run(
+            &module,
+            RunConfig {
+                input,
+                shared_tables: Some(std::sync::Arc::clone(&shared)),
+                ..RunConfig::default()
+            },
+        )
+        .expect("memoized run")
+    };
+    run_shared(cold_input);
+    let warm = run_shared(warm_input.clone());
+    let scratch = vm::run(
+        &vm::lower(&outcome.baseline),
+        RunConfig {
+            input: warm_input,
+            ..RunConfig::default()
+        },
+    )
+    .expect("baseline run");
+    assert_eq!(warm.output_text(), scratch.output_text());
+    let stale_reds: u64 = shared.iter().map(|t| t.stats().stale_reds).sum();
+    assert!(stale_reds > 0, "the warm run's guard never fired");
+}

@@ -5,7 +5,7 @@
 //! or off — through a snapshot/restore round trip and requires the
 //! restored store to be observationally identical: same statistics,
 //! same hit/miss verdict and payload for every probe shape (exact,
-//! green-validated, forced red). Regression tests then feed corrupt,
+//! green-validated, stale red). Regression tests then feed corrupt,
 //! truncated, old-version and version-bumped snapshots to both the
 //! word-level API
 //! and a full `ReuseService`, requiring a clean cold start — never a
@@ -57,8 +57,8 @@ fn populate(store: &ShardedTable, segs: &[SegPlan], keys: &[(u64, usize)]) {
 }
 
 /// Probes every key in all three shapes — exact lookup, green-validated
-/// `lookup_dep`, and forced-red `lookup_dep` — returning the verdicts
-/// and payloads as one comparable trace.
+/// `lookup_dep`, and `lookup_dep` with a refusing validator (stale red) —
+/// returning the verdicts and payloads as one comparable trace.
 fn probe_trace(
     store: &ShardedTable,
     segs: &[SegPlan],
@@ -72,10 +72,11 @@ fn probe_trace(
         trace.push((hit, out.clone()));
         let mut accept = |_fp: &[u64]| true;
         out.clear();
-        let green = store.lookup_dep(seg, &[key], &mut out, true, Some(&mut accept));
+        let green = store.lookup_dep(seg, &[key], &mut out, true, &mut accept);
         trace.push((green, out.clone()));
+        let mut refuse = |_fp: &[u64]| false;
         out.clear();
-        let red = store.lookup_dep(seg, &[key], &mut out, true, None);
+        let red = store.lookup_dep(seg, &[key], &mut out, true, &mut refuse);
         trace.push((red, out));
     }
     trace
@@ -91,7 +92,7 @@ proptest! {
     /// Round-trip property: for arbitrary geometry and contents, the
     /// restored store is observationally identical to the original —
     /// statistics carry over through the baseline, and every probe
-    /// (exact, green, forced red) returns the same verdict and payload.
+    /// (exact, green, stale red) returns the same verdict and payload.
     #[test]
     fn snapshot_round_trip_is_observationally_identical(
         slots_pick in 0usize..3,
@@ -184,11 +185,25 @@ fn bitflipped_snapshots_are_refused() {
 
 /// A version-1 stream in that format's own layout: one empty store of
 /// one single-segment shard, whose shard carries three telemetry words
-/// (epoch, bypassed_total, dropped_records) where version 2 has two.
+/// (epoch, bypassed_total, dropped_records) where later versions have two.
 fn v1_snapshot(slots: u64) -> Vec<u64> {
     let mut words = vec![u64::from_le_bytes(*b"CRSNAP01"), 1, 1, 1, slots, 1, 1, 1, 0];
     words.extend([0u64; 13]);
     words.extend([7, 0, 0]);
+    words.push(0);
+    words.push(0);
+    fix_checksum(&mut words);
+    words
+}
+
+/// A version-2 stream in that format's own layout: one empty store of
+/// one single-segment shard, whose shard carries 13 statistics words
+/// where version 3 has nine (v2 also stored four always-0 counters of
+/// retired layers), then two telemetry words.
+fn v2_snapshot(slots: u64) -> Vec<u64> {
+    let mut words = vec![u64::from_le_bytes(*b"CRSNAP01"), 2, 1, 1, slots, 1, 1, 1, 0];
+    words.extend([0u64; 13]);
+    words.extend([0, 0]);
     words.push(0);
     words.push(0);
     fix_checksum(&mut words);
@@ -202,6 +217,7 @@ fn version_bumped_snapshots_are_refused() {
     fix_checksum(&mut future);
     let cases = [
         (v1_snapshot(64), 1, build_store(64, 1, &[(1, 0)], false)),
+        (v2_snapshot(64), 2, build_store(64, 1, &[(1, 0)], false)),
         (
             future,
             SNAPSHOT_VERSION + 1,
