@@ -72,9 +72,9 @@ pub struct PipelineConfig {
     /// Plan validated dependencies (red/green incremental reuse): large
     /// mutable global arrays read by ret-only segments move out of the
     /// hash key into fingerprinted dependency regions, and invariant
-    /// global reads are fingerprinted as a guard. When off, every segment
-    /// keeps its full §2.1 exact-match key and no fingerprints are
-    /// planned.
+    /// global reads that some instruction writes are fingerprinted as a
+    /// guard. When off, every segment keeps its full §2.1 exact-match key
+    /// and no fingerprints are planned.
     pub enable_validation: bool,
 }
 
@@ -156,8 +156,9 @@ pub struct SegDecision {
     /// Fingerprint words stored per entry (0 when the segment has no
     /// validated dependencies).
     pub fp_words: usize,
-    /// Whether the segment depends on mutable regions outside its key, so
-    /// its entries need green validation to be trusted.
+    /// Whether the segment depends on mutable regions outside its key: its
+    /// validated hits are ones exact matching would have recomputed
+    /// (counted as green hits).
     pub green: bool,
 }
 
@@ -338,10 +339,10 @@ pub fn run_pipeline(
             }
         };
         // Dependency planning: move qualifying mutable reads out of the
-        // key and fingerprint invariant reads. The reduced interface is
-        // substituted into `io` so every later stage — granularity,
-        // probes, value profiling, cost-benefit, and table planning —
-        // sees the key the transformed program will actually hash.
+        // key and fingerprint written invariant reads. The reduced
+        // interface is substituted into `io` so every later stage —
+        // granularity, probes, value profiling, cost-benefit, and table
+        // planning — sees the key the transformed program will hash.
         let plan = if config.enable_validation {
             let plan = plan_deps(&io);
             io.inputs = plan.key_inputs.clone();
