@@ -517,7 +517,8 @@ mod tests {
                  }
                  while (s > 100) { s /= 2; }
                  return s;
-             }",
+             }
+             int main() { return f(3); }",
         );
         let kinds: Vec<_> = segs.iter().map(|s| s.kind).collect();
         assert!(kinds.iter().any(|k| matches!(k, SegKind::FuncBody)));
@@ -543,7 +544,8 @@ mod tests {
 
     #[test]
     fn body_accessor_returns_right_block() {
-        let (checked, _, _, segs) = setup("int f(int x) { while (x > 0) { x--; } return x; }");
+        let (checked, _, _, segs) =
+            setup("int f(int x) { while (x > 0) { x--; } return x; } int main() { return f(3); }");
         let loop_seg = segs
             .iter()
             .find(|s| matches!(s.kind, SegKind::LoopBody(_)))
@@ -583,7 +585,8 @@ mod tests {
                      x--;
                  }
                  return s;
-             }",
+             }
+             int main() { return f(3); }",
         );
         // The for-loop body contains `break` at segment depth 0 → escapes.
         let for_body = segs
@@ -622,7 +625,8 @@ mod tests {
                      x--;
                  }
                  return s;
-             }",
+             }
+             int main() { return f(3); }",
         );
         // The while body contains a for whose break targets the for — the
         // while body segment is still legal.

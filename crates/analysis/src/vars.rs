@@ -156,7 +156,8 @@ mod tests {
     fn varmap_covers_globals_and_locals() {
         let checked = minic::compile(
             "int g1; float g2;
-             int f(int a, int b) { int x; { int y; } return a + b; }",
+             int f(int a, int b) { int x; { int y; } return a + b; }
+             int main() { return f(1, 2); }",
         )
         .unwrap();
         let map = VarMap::for_func(&checked.info, 0);
@@ -173,7 +174,8 @@ mod tests {
     fn names_and_types_resolve() {
         let checked = minic::compile(
             "int table[8];
-             int f(int val) { float acc = 0.0; return val + (int)acc + table[0]; }",
+             int f(int val) { float acc = 0.0; return val + (int)acc + table[0]; }
+             int main() { return f(1); }",
         )
         .unwrap();
         let info = &checked.info;

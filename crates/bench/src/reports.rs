@@ -591,8 +591,7 @@ fn json_stats(s: &memo_runtime::TableStats) -> String {
             "{{\"accesses\":{},\"hits\":{},\"green_hits\":{},\"stale_reds\":{},",
             "\"misses\":{},\"collisions\":{},",
             "\"evictions\":{},\"insertions\":{},",
-            "\"optimistic_hits\":{},\"optimistic_retries\":{},",
-            "\"l1_hits\":{},\"promotions\":{},\"admission_rejects\":{},",
+            "\"admission_rejects\":{},",
             "\"hit_ratio\":{},\"collision_rate\":{}}}"
         ),
         s.accesses,
@@ -603,10 +602,6 @@ fn json_stats(s: &memo_runtime::TableStats) -> String {
         s.collisions,
         s.evictions,
         s.insertions,
-        s.optimistic_hits,
-        s.optimistic_retries,
-        s.l1_hits,
-        s.promotions,
         s.admission_rejects,
         s.hit_ratio(),
         s.collision_rate(),

@@ -177,5 +177,14 @@ fn metrics_report_json_carries_per_segment_and_bypass_counters() {
             let sum: u64 = segs.iter().map(|s| count(s, key)).sum();
             assert_eq!(sum, count(stats, key), "{key} split over segments");
         }
+        // Counters of deleted layers are not reported.
+        for key in [
+            "optimistic_hits",
+            "optimistic_retries",
+            "l1_hits",
+            "promotions",
+        ] {
+            assert!(stats.get(key).is_none(), "retired {key} in {stats:?}");
+        }
     }
 }

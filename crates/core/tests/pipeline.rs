@@ -479,3 +479,17 @@ fn validation_guards_only_written_invariants() {
         );
     }
 }
+
+#[test]
+fn programs_without_a_runnable_main_are_front_end_errors() {
+    for src in [
+        "int f() { return 1; }",
+        "int main(int a) { print(a); return 0; }",
+    ] {
+        let program = minic::parse(src).expect("parse");
+        match run_pipeline(&program, &PipelineConfig::default()) {
+            Err(compreuse::PipelineError::FrontEnd(e)) => assert!(e.contains("`main`"), "{e}"),
+            other => panic!("{src}: expected a front-end error, got {other:?}"),
+        }
+    }
+}

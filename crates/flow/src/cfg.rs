@@ -75,7 +75,7 @@ impl<'p> Cfg<'p> {
     ///
     /// ```
     /// let checked = minic::compile(
-    ///     "int f(int x) { if (x > 0) { return 1; } return 0; }",
+    ///     "int f(int x) { if (x > 0) { return 1; } return 0; } int main() { return f(1); }",
     /// ).unwrap();
     /// let cfg = flow::cfg::Cfg::build(&checked.program.funcs[0].body);
     /// assert!(cfg.blocks.len() >= 3);
@@ -454,8 +454,14 @@ mod tests {
     use super::*;
     use minic::visit::for_each_stmt;
 
+    /// Checks `src`, a function or two, with an empty `main` appended
+    /// (sema requires an entry point; the tests inspect `funcs[0]`).
+    fn compile(src: &str) -> minic::Checked {
+        minic::compile(&format!("{src}\nint main() {{ return 0; }}")).expect("compiles")
+    }
+
     fn cfg_of(src: &str) -> (minic::Checked, usize) {
-        let checked = minic::compile(src).expect("compiles");
+        let checked = compile(src);
         let n = {
             let cfg = Cfg::build(&checked.program.funcs[0].body);
             check_invariants(&cfg);
@@ -529,7 +535,7 @@ mod tests {
     #[test]
     fn for_loop_regions_exclude_cond_and_step() {
         let src = "int f(int n) { int s = 0; for (int i = 0; i < n; i++) { s += i; } return s; }";
-        let checked = minic::compile(src).unwrap();
+        let checked = compile(src);
         let f = &checked.program.funcs[0];
         let cfg = Cfg::build(&f.body);
         check_invariants(&cfg);
@@ -603,7 +609,7 @@ mod tests {
     #[test]
     fn if_branch_region_excludes_join() {
         let src = "int f(int x) { int r = 0; if (x) { r = 1; r = r + 1; } r = r * 2; return r; }";
-        let checked = minic::compile(src).unwrap();
+        let checked = compile(src);
         let f = &checked.program.funcs[0];
         let cfg = Cfg::build(&f.body);
         let mut then_ids = HashSet::new();
@@ -634,7 +640,7 @@ mod tests {
             }
             return s;
         }";
-        let checked = minic::compile(src).unwrap();
+        let checked = compile(src);
         let f = &checked.program.funcs[0];
         let cfg = Cfg::build(&f.body);
         check_invariants(&cfg);

@@ -16,7 +16,7 @@
 //!
 //! ```
 //! use flow::cfg::Cfg;
-//! let checked = minic::compile("int f(int n) { int s = 0; while (n) { s += n; n--; } return s; }").unwrap();
+//! let checked = minic::compile("int f(int n) { int s = 0; while (n) { s += n; n--; } return s; } int main() { return f(3); }").unwrap();
 //! let cfg = Cfg::build(&checked.program.funcs[0].body);
 //! let g = cfg.graph();
 //! assert!(g.reverse_postorder(cfg.entry).contains(&cfg.exit));

@@ -26,7 +26,8 @@
 //!             if (val < power2[i])
 //!                 break;
 //!         return i;
-//!     }";
+//!     }
+//!     int main() { return quan(100); }";
 //! let program = minic::parse(src)?;
 //! let checked = minic::check(program).expect("well-typed");
 //! let printed = minic::pretty::print_program(&checked.program);

@@ -121,6 +121,9 @@ pub struct SemaInfo {
     pub global_region: usize,
     /// Function name → index into `Program::funcs`.
     pub func_index: HashMap<String, usize>,
+    /// Index of `main`, the entry point, in `Program::funcs`. A program
+    /// checks only if it defines `main` with no parameters.
+    pub main: usize,
     /// Frame layouts, parallel to `Program::funcs`.
     pub frames: Vec<FrameLayout>,
     /// Static type of every expression (arrays kept un-decayed).
@@ -310,6 +313,15 @@ impl Checker {
                     self.err(p.span, "struct parameters must be passed by pointer");
                 }
             }
+        }
+
+        // Execution starts at `main` with no arguments.
+        match self.info.func_index.get("main") {
+            None => self.err(Span::new(0, 0), "program must define `main`"),
+            Some(&i) if !program.funcs[i].params.is_empty() => {
+                self.err(program.funcs[i].span, "`main` must take no parameters");
+            }
+            Some(&i) => self.info.main = i,
         }
 
         for f in program.funcs.iter() {

@@ -21,7 +21,8 @@ fn checks_quan() {
                  if (val < power2[i])
                      break;
              return i;
-         }",
+         }
+         int main() { return quan(100); }",
     )
     .expect("quan is well-typed");
     assert_eq!(checked.info.globals.len(), 1);
@@ -85,7 +86,8 @@ fn frame_layout_covers_params_and_locals() {
              int buf[4];
              float y = b;
              return a + x + (int)y + buf[0];
-         }",
+         }
+         int main() { return f(1, 2.0); }",
     )
     .unwrap();
     let frame = &checked.info.frames[0];
@@ -288,7 +290,7 @@ fn pointer_arithmetic_types() {
 
 #[test]
 fn array_initializer_zero_fills() {
-    let checked = compile("int t[5] = {1, 2};").unwrap();
+    let checked = compile("int t[5] = {1, 2}; int main() { return t[0]; }").unwrap();
     let init = checked.info.globals[0].init.as_ref().unwrap();
     assert_eq!(init.len(), 5);
     assert!(matches!(init[1], minic::sema::ConstVal::Int(2)));
@@ -303,7 +305,9 @@ fn too_many_initializers_rejected() {
 
 #[test]
 fn const_exprs_in_global_init() {
-    let checked = compile("int a = 1 << 10; float b = -2.5; int c = (3 + 4) * 2;").unwrap();
+    let checked =
+        compile("int a = 1 << 10; float b = -2.5; int c = (3 + 4) * 2; int main() { return a; }")
+            .unwrap();
     let vals: Vec<_> = checked
         .info
         .globals

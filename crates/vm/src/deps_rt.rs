@@ -103,11 +103,17 @@ impl DepRuntime {
     }
 
     /// Folds a write of `v` to cell `addr` into its chunk's epoch chain.
+    /// Only the bounds test is inlined: frame cells fail it, and the
+    /// fold stays out of the bytecode loop (DESIGN.md §8d).
     #[inline]
     pub fn note_write(&mut self, addr: usize, v: Value) {
-        if addr >= self.cell_region.len() {
-            return;
+        if addr < self.cell_region.len() {
+            self.fold_write(addr, v);
         }
+    }
+
+    #[inline(never)]
+    fn fold_write(&mut self, addr: usize, v: Value) {
         let r = self.cell_region[addr];
         if r == UNTRACKED {
             return;
@@ -119,8 +125,10 @@ impl DepRuntime {
     }
 
     /// ORs the chunk bit of a read of cell `addr` into every active
-    /// recording frame. Call only while [`DepRuntime::active`].
-    #[inline]
+    /// recording frame. Call only while [`DepRuntime::active`]. Out of
+    /// line, so the bytecode loop's handlers that may call it keep their
+    /// register pressure low (DESIGN.md §8d).
+    #[inline(never)]
     pub fn note_read(&mut self, addr: usize) {
         if addr >= self.cell_region.len() {
             return;

@@ -6,16 +6,16 @@
 //! preallocated on the machine, so the memo hit path — including the
 //! bypassed-table forced-miss probe — performs **zero heap allocations**.
 //!
-//! The loop keeps its hot state in locals the compiler can hold in
-//! registers: the program counter, the operand-stack pointer, the frame
-//! base and the cycle counter. The operand stack is a slice indexed by
-//! that pointer; every frame entry sizes it from the callee's static
-//! bound ([`BcModule::max_stack`]), so a push never checks capacity. The
-//! locals are written back to the machine only where out-of-line code
-//! reads them: calls, returns, and memo and profile probes (DESIGN.md
-//! §8d). Rarely executed instructions run out of line in `step_cold`,
-//! which takes and returns that state by value, so the loop stays small
-//! enough for the compiler to keep it in registers.
+//! The loop keeps its hot state in locals: the program counter, the
+//! operand-stack pointer, the frame base and the cycle counter. The
+//! operand stack is a slice indexed by that pointer; every frame entry
+//! sizes it from the callee's static bound ([`BcModule::max_stack`]), so
+//! a push never checks capacity. The locals are written back to the
+//! machine only where out-of-line code reads them: calls, returns, and
+//! memo and profile probes. Rarely executed instructions run out of line
+//! in `step_cold`, which takes and returns that state by value, so the
+//! loop stays small and the register allocator can keep most of the
+//! state in registers (DESIGN.md §8d says which parts it does).
 //!
 //! Cycle/energy parity with the tree-walker is a hard contract: every
 //! instruction charges exactly the cost the tree-walker charges at the
@@ -98,6 +98,14 @@ macro_rules! pop {
     ($stack:ident, $sp:ident) => {{
         $sp -= 1;
         $stack[$sp]
+    }};
+}
+
+/// Pops the top of the operand stack `stack`, by reference.
+macro_rules! pop_ref {
+    ($stack:ident, $sp:ident) => {{
+        $sp -= 1;
+        &$stack[$sp]
     }};
 }
 
@@ -216,8 +224,7 @@ pub(crate) fn run_bc(
 
 /// Grows the operand stack to at least `need` slots (a frame entry
 /// deeper than any before it). Taking and returning the vector by value
-/// keeps the caller's copy unaliased, so its pointer and length can stay
-/// in registers.
+/// keeps the loop's copy unaliased.
 #[cold]
 #[inline(never)]
 fn grown(mut stack: Vec<Value>, need: usize) -> Vec<Value> {
@@ -226,24 +233,82 @@ fn grown(mut stack: Vec<Value>, need: usize) -> Vec<Value> {
     stack
 }
 
-/// [`binary_value`] with the `Int × Int` case inlined. Every other
-/// operand class takes the shared path, so trap kinds and their order
-/// are the tree walker's.
+/// [`binary_value`] over two cells, with the `Int × Int` case inlined.
+/// Every other operand class takes the shared path, so trap kinds and
+/// their order are the tree walker's. The cells are taken by reference,
+/// and the fast path reads each one's tag and payload as two words: a
+/// whole-value copy would be a 16-byte load, which the store buffer
+/// cannot forward from the two word-sized stores that wrote the cell
+/// (DESIGN.md §8d).
 #[inline(always)]
-fn binary(op: BinOp, x: Value, y: Value) -> Result<Value, Trap> {
+fn binary(op: BinOp, x: &Value, y: &Value) -> Result<Value, Trap> {
     match (x, y) {
-        (Value::Int(a), Value::Int(b)) => int_binary(op, a, b).map(Value::Int),
-        _ => binary_value(op, x, y),
+        (Value::Int(a), Value::Int(b)) => int_binary(op, *a, *b).map(Value::Int),
+        _ => binary_slow(op, x, y),
     }
 }
 
-/// Truthiness of `op(x, y)` for the compare-and-branch instructions,
-/// with the same `Int × Int` fast path as [`binary`].
+#[cold]
+#[inline(never)]
+fn binary_slow(op: BinOp, x: &Value, y: &Value) -> Result<Value, Trap> {
+    binary_value(op, *x, *y)
+}
+
+/// The integers in two fused leaf operands, if both hold one.
 #[inline(always)]
-fn condition(op: BinOp, x: Value, y: Value) -> Result<bool, Trap> {
-    match (x, y) {
-        (Value::Int(a), Value::Int(b)) => int_binary(op, a, b).map(|v| v != 0),
-        _ => binary_value(op, x, y)?.truthy(),
+fn int_args(mem: &[Value], frame: usize, a: &FastArg, b: &FastArg) -> Option<(i64, i64)> {
+    let int = |a: &FastArg| match a {
+        FastArg::I(v) => Some(*v),
+        FastArg::Local(off) => match mem[frame + *off as usize] {
+            Value::Int(v) => Some(v),
+            _ => None,
+        },
+    };
+    Some((int(a)?, int(b)?))
+}
+
+/// `op` over two fused leaf operands, with the `Int × Int` case read and
+/// computed in registers (see [`binary`]).
+#[inline(always)]
+fn binary_args(
+    op: BinOp,
+    mem: &[Value],
+    frame: usize,
+    a: &FastArg,
+    b: &FastArg,
+) -> Result<Value, Trap> {
+    match int_args(mem, frame, a, b) {
+        Some((x, y)) => int_binary(op, x, y).map(Value::Int),
+        None => binary_args_slow(op, mem, frame, a, b),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn binary_args_slow(
+    op: BinOp,
+    mem: &[Value],
+    frame: usize,
+    a: &FastArg,
+    b: &FastArg,
+) -> Result<Value, Trap> {
+    binary_value(op, arg!(mem, frame, a), arg!(mem, frame, b))
+}
+
+/// Truthiness of `op` over two fused leaf operands, for the
+/// compare-and-branch instructions, with the same fast path as
+/// [`binary_args`].
+#[inline(always)]
+fn condition(
+    op: BinOp,
+    mem: &[Value],
+    frame: usize,
+    a: &FastArg,
+    b: &FastArg,
+) -> Result<bool, Trap> {
+    match int_args(mem, frame, a, b) {
+        Some((x, y)) => int_binary(op, x, y).map(|v| v != 0),
+        None => binary_args_slow(op, mem, frame, a, b)?.truthy(),
     }
 }
 
@@ -252,16 +317,16 @@ fn condition(op: BinOp, x: Value, y: Value) -> Result<bool, Trap> {
 /// jump table on the value kind: a condition costs one predictable
 /// branch.
 #[inline(always)]
-fn truthy(v: Value) -> Result<bool, Trap> {
+fn truthy(v: &Value) -> Result<bool, Trap> {
     match v {
-        Value::Int(x) => Ok(x != 0),
+        Value::Int(x) => Ok(*x != 0),
         _ => truthy_slow(v),
     }
 }
 
 #[cold]
 #[inline(never)]
-fn truthy_slow(v: Value) -> Result<bool, Trap> {
+fn truthy_slow(v: &Value) -> Result<bool, Trap> {
     v.truthy()
 }
 
@@ -541,17 +606,14 @@ impl BcMachine<'_, '_> {
                     pc += 1;
                 }
                 Instr::Binary(op, c) => {
-                    let y = pop!(stack, sp);
-                    let x = stack[sp - 1];
+                    sp -= 1;
                     cycles += *c;
-                    stack[sp - 1] = binary(*op, x, y)?;
+                    stack[sp - 1] = binary(*op, &stack[sp - 1], &stack[sp])?;
                     pc += 1;
                 }
                 Instr::BinaryFast { op, a, b, cost: c } => {
-                    let x = arg!(self.mem, frame, a);
-                    let y = arg!(self.mem, frame, b);
                     cycles += *c;
-                    push!(stack, sp, binary(*op, x, y)?);
+                    push!(stack, sp, binary_args(*op, &self.mem, frame, a, b)?);
                     pc += 1;
                 }
                 Instr::Tick(n) => {
@@ -566,10 +628,8 @@ impl BcMachine<'_, '_> {
                     cost: c,
                     target,
                 } => {
-                    let x = arg!(self.mem, frame, a);
-                    let y = arg!(self.mem, frame, b);
                     cycles += u64::from(*c);
-                    if condition(*op, x, y)? {
+                    if condition(*op, &self.mem, frame, a, b)? {
                         pc += 1;
                     } else {
                         pc = *target;
@@ -579,7 +639,7 @@ impl BcMachine<'_, '_> {
                     branch_idx,
                     else_target,
                 } => {
-                    let taken = truthy(pop!(stack, sp))?;
+                    let taken = truthy(pop_ref!(stack, sp))?;
                     let slot = (*branch_idx as usize) * 2 + usize::from(!taken);
                     self.branch_counts[slot] += 1;
                     if taken {
@@ -596,10 +656,8 @@ impl BcMachine<'_, '_> {
                     branch_idx,
                     else_target,
                 } => {
-                    let x = arg!(self.mem, frame, a);
-                    let y = arg!(self.mem, frame, b);
                     cycles += u64::from(*c);
-                    let taken = condition(*op, x, y)?;
+                    let taken = condition(*op, &self.mem, frame, a, b)?;
                     let slot = (*branch_idx as usize) * 2 + usize::from(!taken);
                     self.branch_counts[slot] += 1;
                     if taken {
@@ -621,7 +679,7 @@ impl BcMachine<'_, '_> {
                     let x = load_idx(&self.mem, &mut self.dep_rt, frame, &ic.load, i)?;
                     let y = arg!(self.mem, frame, &ic.rhs);
                     cycles += u64::from(ic.cmp_cost);
-                    let taken = condition(ic.op, x, y)?;
+                    let taken = truthy(&binary(ic.op, &x, &y)?)?;
                     let slot = (*branch_idx as usize) * 2 + usize::from(!taken);
                     self.branch_counts[slot] += 1;
                     if taken {
@@ -660,10 +718,8 @@ impl BcMachine<'_, '_> {
                         unreachable!("loop step without a fused head")
                     };
                     check_budget!(cycles, max_cycles);
-                    let x = arg!(self.mem, frame, a);
-                    let y = arg!(self.mem, frame, b);
                     cycles += u64::from(*c);
-                    if condition(*op, x, y)? {
+                    if condition(*op, &self.mem, frame, a, b)? {
                         self.loop_counts[*loop_idx as usize] += 1;
                         pc += 1;
                     } else {
@@ -778,12 +834,12 @@ impl BcMachine<'_, '_> {
                 pc += 1;
             }
             Instr::Truthy => {
-                let v = truthy(stack[sp - 1])?;
+                let v = truthy(&stack[sp - 1])?;
                 stack[sp - 1] = Value::Int(i64::from(v));
                 pc += 1;
             }
             Instr::ShortCircuit { and, end } => {
-                let x = truthy(pop!(stack, sp))?;
+                let x = truthy(pop_ref!(stack, sp))?;
                 let decided = if *and { !x } else { x };
                 if decided {
                     push!(stack, sp, Value::Int(i64::from(x)));
@@ -793,7 +849,7 @@ impl BcMachine<'_, '_> {
                 }
             }
             Instr::JumpIfFalse(t) => {
-                if truthy(pop!(stack, sp))? {
+                if truthy(pop_ref!(stack, sp))? {
                     pc += 1;
                 } else {
                     pc = *t;
@@ -805,7 +861,7 @@ impl BcMachine<'_, '_> {
                 pc += 1;
             }
             Instr::LoopCond { loop_idx, end } => {
-                if truthy(pop!(stack, sp))? {
+                if truthy(pop_ref!(stack, sp))? {
                     self.loop_counts[*loop_idx as usize] += 1;
                     pc += 1;
                 } else {
@@ -839,7 +895,7 @@ impl BcMachine<'_, '_> {
                 pc += 1;
             }
             Instr::JumpIfTrue(t) => {
-                if truthy(pop!(stack, sp))? {
+                if truthy(pop_ref!(stack, sp))? {
                     pc = *t;
                 } else {
                     pc += 1;
@@ -852,10 +908,8 @@ impl BcMachine<'_, '_> {
                 cost: c,
                 target,
             } => {
-                let x = arg!(self.mem, frame, a);
-                let y = arg!(self.mem, frame, b);
                 cycles += u64::from(*c);
-                if condition(*op, x, y)? {
+                if condition(*op, &self.mem, frame, a, b)? {
                     pc = *target;
                 } else {
                     pc += 1;
@@ -905,7 +959,7 @@ impl BcMachine<'_, '_> {
                         let delta = if *op == BinOp::Sub { -step } else { step };
                         Value::Ptr(base.wrapping_add(delta) as usize)
                     }
-                    None => coerce_value(binary(*op, old, rhs)?, *coerce)?,
+                    None => coerce_value(binary(*op, &old, &rhs)?, *coerce)?,
                 };
                 cycles += write_charge!(cost, write_cost);
                 mem_write(&mut self.mem, addr, new)?;

@@ -406,11 +406,7 @@ pub fn lower(checked: &Checked) -> Module {
         .enumerate()
         .map(|(i, f)| lw.lower_func(i, f))
         .collect();
-    let main = *checked
-        .info
-        .func_index
-        .get("main")
-        .expect("program must define main") as u32;
+    let main = checked.info.main as u32;
     Module {
         funcs,
         main,

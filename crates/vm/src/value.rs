@@ -3,7 +3,14 @@
 use std::fmt;
 
 /// A runtime value: one memory cell.
+///
+/// The layout is two 8-byte words: the tag in word 0 and the payload in
+/// word 1 (DESIGN.md §8d). With Rust's default layout `Func`'s payload
+/// shares word 0 with a 4-byte tag, so the bytecode loop stored the tag
+/// as 4 bytes and read word 0 back as 8, a load the store buffer cannot
+/// forward.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, u64)]
 pub enum Value {
     /// 64-bit integer.
     Int(i64),
@@ -203,6 +210,12 @@ mod tests {
         assert!(Value::Ptr(3).truthy().unwrap());
         assert!(!Value::Ptr(0).truthy().unwrap());
         assert!(Value::Uninit.truthy().is_err());
+    }
+
+    #[test]
+    fn two_word_layout() {
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+        assert_eq!(std::mem::align_of::<Value>(), 8);
     }
 
     #[test]

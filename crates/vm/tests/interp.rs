@@ -622,3 +622,17 @@ fn merged_table_segments_share_key() {
     assert_eq!(stats.misses, 4, "2 values × 2 slots cold-miss once each");
     assert!(memo.cycles < orig.cycles);
 }
+
+#[test]
+fn programs_without_a_runnable_main_are_front_end_errors() {
+    for (src, diag) in [
+        ("int f() { return 1; }", "program must define `main`"),
+        (
+            "int main(int a) { print(a); return 0; }",
+            "`main` must take no parameters",
+        ),
+    ] {
+        let err = compile_and_run(src, RunConfig::default()).expect_err(src);
+        assert!(err.contains(diag), "{src}: {err}");
+    }
+}
