@@ -21,7 +21,6 @@
 
 #![warn(missing_docs)]
 
-pub mod admission;
 pub mod fmt;
 pub mod json;
 pub mod reports;

@@ -634,392 +634,6 @@ fn json_table(index: usize, spec: &memo_runtime::TableSpec, t: &MemoTable) -> St
     )
 }
 
-// ---------------------------------------------------------------------
-// Engine wall-clock benchmark — JSON report (`metrics --bench-engines`)
-// ---------------------------------------------------------------------
-
-/// Host wall-clock timings of one workload's full prepare + execute
-/// cycle under each measured execution engine (tree first; any number of
-/// further tiers may follow).
-#[derive(Debug, Clone)]
-pub struct EngineBenchRow {
-    /// Workload name.
-    pub name: &'static str,
-    /// Wall-clock per engine, milliseconds, in measurement order.
-    pub engine_ms: Vec<(vm::Engine, f64)>,
-}
-
-impl EngineBenchRow {
-    /// Wall-clock of `engine`, if it was measured.
-    pub fn ms(&self, engine: vm::Engine) -> Option<f64> {
-        self.engine_ms
-            .iter()
-            .find(|(e, _)| *e == engine)
-            .map(|&(_, ms)| ms)
-    }
-
-    /// Wall-clock speedup of the bytecode engine over the tree-walker.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either engine was not measured.
-    pub fn speedup(&self) -> f64 {
-        self.ms(vm::Engine::Tree).expect("tree measured")
-            / self.ms(vm::Engine::Bytecode).expect("bytecode measured")
-    }
-}
-
-/// Sums each engine's wall-clock across `rows`, in row engine order.
-pub fn engine_totals(rows: &[EngineBenchRow]) -> Vec<(vm::Engine, f64)> {
-    let mut totals: Vec<(vm::Engine, f64)> = Vec::new();
-    for r in rows {
-        for &(e, ms) in &r.engine_ms {
-            match totals.iter_mut().find(|(t, _)| *t == e) {
-                Some((_, acc)) => *acc += ms,
-                None => totals.push((e, ms)),
-            }
-        }
-    }
-    totals
-}
-
-/// Serialises the per-engine wall-clock comparison. Modelled metrics are
-/// engine-independent (asserted by the differential tests), so only host
-/// timings appear here.
-///
-/// The schema is N-engine: each workload and the totals carry an
-/// `engine_ms` object keyed by engine name, plus `speedup_vs_tree` for
-/// every non-tree engine. The two-engine keys the PR 3 reports used
-/// (`tree_ms`, `bytecode_ms`, `speedup`, `total_tree_ms`,
-/// `total_bytecode_ms`, `speedup_wall`) are kept verbatim whenever both
-/// of those engines were measured, so existing consumers never break.
-pub fn engine_bench_json(scale: f64, opt: OptLevel, rows: &[EngineBenchRow]) -> String {
-    let ms_obj = |pairs: &[(vm::Engine, f64)]| -> String {
-        let fields: Vec<String> = pairs
-            .iter()
-            .map(|(e, ms)| format!("\"{e}\":{ms:.3}"))
-            .collect();
-        format!("{{{}}}", fields.join(","))
-    };
-    let speedups_obj = |pairs: &[(vm::Engine, f64)]| -> String {
-        let tree = pairs
-            .iter()
-            .find(|(e, _)| *e == vm::Engine::Tree)
-            .map(|&(_, ms)| ms);
-        let fields: Vec<String> = pairs
-            .iter()
-            .filter(|(e, _)| *e != vm::Engine::Tree)
-            .filter_map(|&(e, ms)| tree.map(|t| format!("\"{e}\":{:.3}", t / ms)))
-            .collect();
-        format!("{{{}}}", fields.join(","))
-    };
-    let legacy = |pairs: &[(vm::Engine, f64)], t_key: &str, b_key: &str, s_key: &str| -> String {
-        let (Some(t), Some(b)) = (
-            pairs
-                .iter()
-                .find(|(e, _)| *e == vm::Engine::Tree)
-                .map(|&(_, ms)| ms),
-            pairs
-                .iter()
-                .find(|(e, _)| *e == vm::Engine::Bytecode)
-                .map(|&(_, ms)| ms),
-        ) else {
-            return String::new();
-        };
-        format!(
-            "\"{t_key}\":{t:.3},\"{b_key}\":{b:.3},\"{s_key}\":{:.3},",
-            t / b
-        )
-    };
-    let per: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"name\":\"{}\",{}\"engine_ms\":{},\"speedup_vs_tree\":{}}}",
-                json_escape(r.name),
-                legacy(&r.engine_ms, "tree_ms", "bytecode_ms", "speedup"),
-                ms_obj(&r.engine_ms),
-                speedups_obj(&r.engine_ms),
-            )
-        })
-        .collect();
-    let totals = engine_totals(rows);
-    format!(
-        concat!(
-            "{{\"bench\":\"engines\",\"scale\":{},\"opt\":\"{:?}\",",
-            "{}\"total_engine_ms\":{},\"speedup_wall_vs_tree\":{},",
-            "\"workloads\":[{}]}}"
-        ),
-        scale,
-        opt,
-        legacy(
-            &totals,
-            "total_tree_ms",
-            "total_bytecode_ms",
-            "speedup_wall"
-        ),
-        ms_obj(&totals),
-        speedups_obj(&totals),
-        per.join(","),
-    )
-}
-
-// ---------------------------------------------------------------------
-// Serving benchmark — JSON report (`metrics --serve`)
-// ---------------------------------------------------------------------
-
-fn json_histogram(h: &service::LatencyHistogram) -> String {
-    let buckets: Vec<String> = h
-        .nonzero_buckets()
-        .iter()
-        .map(|b| {
-            format!(
-                "{{\"lo_ns\":{},\"hi_ns\":{},\"count\":{}}}",
-                b.lo_ns, b.hi_ns, b.count
-            )
-        })
-        .collect();
-    format!(
-        concat!(
-            "{{\"count\":{},\"mean_ns\":{:.1},\"min_ns\":{},\"max_ns\":{},",
-            "\"p50_ns\":{},\"p90_ns\":{},\"p99_ns\":{},\"buckets\":[{}]}}"
-        ),
-        h.count(),
-        h.mean_ns(),
-        h.min_ns(),
-        h.max_ns(),
-        h.quantile_ns(0.5),
-        h.quantile_ns(0.9),
-        h.quantile_ns(0.99),
-        buckets.join(","),
-    )
-}
-
-fn json_fault_counters(c: &memo_runtime::FaultCounters) -> String {
-    let per: Vec<String> = memo_runtime::FailPoint::ALL
-        .iter()
-        .map(|&p| {
-            format!(
-                "\"{}\":{{\"draws\":{},\"fired\":{}}}",
-                p.name(),
-                c.draws_at(p),
-                c.fired_at(p),
-            )
-        })
-        .collect();
-    format!("{{{}}}", per.join(","))
-}
-
-fn json_service_report(r: &service::ServiceReport) -> String {
-    let per_worker: Vec<String> = r.per_worker.iter().map(u64::to_string).collect();
-    let counts = r.status_counts();
-    let statuses: Vec<String> = service::RequestStatus::ALL
-        .iter()
-        .zip(counts)
-        .map(|(s, n)| format!("\"{}\":{}", s.name(), n))
-        .collect();
-    let by_status: Vec<String> = service::RequestStatus::ALL
-        .iter()
-        .zip(&r.latency_by_status)
-        .map(|(s, h)| format!("\"{}\":{}", s.name(), json_histogram(h)))
-        .collect();
-    let faults = r
-        .faults
-        .as_ref()
-        .map_or_else(|| "null".to_string(), json_fault_counters);
-    // Per-program store deltas, in the summary's workload order — the
-    // per-workload green/red breakdown of this batch's store traffic.
-    let per_program: Vec<String> = r.per_program_delta.iter().map(json_stats).collect();
-    format!(
-        concat!(
-            "{{\"wall_seconds\":{:.6},\"throughput_rps\":{:.1},\"hit_ratio\":{:.6},",
-            "\"trapped\":{},\"per_worker\":[{}],\"store\":{},\"per_program\":[{}],",
-            "\"latency\":{},",
-            "\"statuses\":{{{}}},\"retries\":{},\"degraded_flips\":{},",
-            "\"faults\":{},\"latency_by_status\":{{{}}}}}"
-        ),
-        r.wall_seconds,
-        r.throughput_rps,
-        r.hit_ratio(),
-        r.results.iter().filter(|x| x.trapped).count(),
-        per_worker.join(","),
-        json_stats(&r.store_delta),
-        per_program.join(","),
-        json_histogram(&r.latency),
-        statuses.join(","),
-        r.retries,
-        r.degraded_flips,
-        faults,
-        by_status.join(","),
-    )
-}
-
-/// Serialises a [`crate::serve::ServeSummary`] — the worker-scaling sweep
-/// of the request-serving benchmark. Each point reports a cold and a warm
-/// round; `speedup_vs_first` compares warm wall-clock against the sweep's
-/// first worker count.
-pub fn serve_report_json(s: &crate::serve::ServeSummary) -> String {
-    let names: Vec<String> = s
-        .workload_names
-        .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
-        .collect();
-    let first_warm_wall = s.points.first().map_or(0.0, |p| p.warm.wall_seconds);
-    let points: Vec<String> = s
-        .points
-        .iter()
-        .map(|p| {
-            format!(
-                concat!(
-                    "{{\"workers\":{},\"fingerprints_match\":{},\"accounting_ok\":{},",
-                    "\"speedup_vs_first\":{:.3},\"cold\":{},\"warm\":{}}}"
-                ),
-                p.workers,
-                p.matches_baseline,
-                p.accounting_ok,
-                if p.warm.wall_seconds > 0.0 {
-                    first_warm_wall / p.warm.wall_seconds
-                } else {
-                    0.0
-                },
-                json_service_report(&p.cold),
-                json_service_report(&p.warm),
-            )
-        })
-        .collect();
-    let fault_plan = s.opts.fault_seed.map_or_else(
-        || "null".to_string(),
-        |seed| {
-            format!(
-                concat!(
-                    "{{\"seed\":{},\"rate\":{},\"deadline_cycles\":{},",
-                    "\"high_watermark\":{}}}"
-                ),
-                seed,
-                s.opts.fault_rate,
-                s.opts
-                    .deadline_cycles
-                    .map_or_else(|| "null".to_string(), |d| d.to_string()),
-                s.opts
-                    .high_watermark
-                    .map_or_else(|| "null".to_string(), |h| h.to_string()),
-            )
-        },
-    );
-    format!(
-        concat!(
-            "{{\"bench\":\"serve\",\"scale\":{},\"opt\":\"{:?}\",\"shards\":{},",
-            "\"queue_capacity\":{},\"cpus\":{},\"requests\":{},\"all_match\":{},",
-            "\"all_accounted\":{},\"fault_plan\":{},",
-            "\"workloads\":[{}],\"baseline\":{},\"sweep\":[{}]}}"
-        ),
-        s.opts.scale,
-        s.opts.opt,
-        s.opts.shards,
-        s.opts.queue_capacity,
-        s.cpus,
-        s.requests,
-        s.all_match(),
-        s.all_accounted(),
-        fault_plan,
-        names.join(","),
-        json_service_report(&s.baseline),
-        points.join(","),
-    )
-}
-
-fn json_f64_array(vals: &[f64]) -> String {
-    let rendered: Vec<String> = vals.iter().map(|v| format!("{v}")).collect();
-    format!("[{}]", rendered.join(","))
-}
-
-fn json_decile_run(d: &crate::serve::DecileRun) -> String {
-    format!(
-        concat!(
-            "{{\"overall\":{},\"first_decile\":{},\"deciles\":{},",
-            "\"stats\":{}}}"
-        ),
-        d.overall(),
-        d.first_decile(),
-        json_f64_array(&d.ratios),
-        json_stats(&d.delta),
-    )
-}
-
-/// Serialises a [`crate::serve::WarmRestartSummary`] — the snapshot /
-/// warm-restart benchmark (`metrics --serve --assert-warm-restart`,
-/// DESIGN.md §8i): cold/warm/restored decile curves, the snapshot size,
-/// and the gate verdict.
-pub fn warm_restart_json(s: &crate::serve::WarmRestartSummary) -> String {
-    let names: Vec<String> = s
-        .workload_names
-        .iter()
-        .map(|n| format!("\"{}\"", json_escape(n)))
-        .collect();
-    format!(
-        concat!(
-            "{{\"bench\":\"warm_restart\",\"scale\":{},\"opt\":\"{:?}\",",
-            "\"shards\":{},\"workers\":{},\"requests\":{},",
-            "\"admission\":{},\"snapshot_bytes\":{},\"restore_ok\":{},",
-            "\"matches_baseline\":{},\"tolerance\":{},\"gate_holds\":{},",
-            "\"workloads\":[{}],\"cold\":{},\"warm\":{},\"restored\":{}}}"
-        ),
-        s.opts.scale,
-        s.opts.opt,
-        s.opts.shards,
-        s.workers,
-        s.requests,
-        s.opts.admission,
-        s.snapshot_bytes,
-        s.restore_ok,
-        s.matches_baseline,
-        s.tolerance,
-        s.gate_holds(),
-        names.join(","),
-        json_decile_run(&s.cold),
-        json_decile_run(&s.warm),
-        json_decile_run(&s.restored),
-    )
-}
-
-fn json_admission_arm(a: &crate::admission::AdmissionArm) -> String {
-    format!(
-        concat!(
-            "{{\"evictions\":{},\"admission_rejects\":{},\"insertions\":{},",
-            "\"hot_survival\":{},\"stats\":{}}}"
-        ),
-        a.evictions,
-        a.admission_rejects,
-        a.insertions,
-        a.hot_survival,
-        json_stats(&a.stats),
-    )
-}
-
-/// Serialises a [`crate::admission::AdmissionAb`] — the TinyLFU
-/// admission A/B microbench (`metrics --serve --admission`): both arms'
-/// eviction/rejection counts at equal memory plus the conclusiveness
-/// verdict.
-pub fn admission_ab_json(ab: &crate::admission::AdmissionAb) -> String {
-    format!(
-        concat!(
-            "{{\"bench\":\"admission_ab\",\"slots\":{},\"shards\":{},",
-            "\"hot_keys\":{},\"hot_rounds\":{},\"one_shots\":{},",
-            "\"conclusive\":{},\"eviction_cut\":{},",
-            "\"on\":{},\"off\":{}}}"
-        ),
-        ab.slots,
-        ab.shards,
-        ab.hot_keys,
-        ab.hot_rounds,
-        ab.one_shots,
-        ab.conclusive(),
-        ab.off.evictions.saturating_sub(ab.on.evictions),
-        json_admission_arm(&ab.on),
-        json_admission_arm(&ab.off),
-    )
-}
-
 /// Serialises one measured run into the JSON metrics report: per-table
 /// and per-segment accesses, hits, misses, collisions and evictions, and
 /// the size of the value-set profile's input patterns (raw words against

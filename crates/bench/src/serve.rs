@@ -1,5 +1,5 @@
-//! `metrics --serve` machinery: a request-serving benchmark over the
-//! seven main workloads.
+//! The reuse-service harness the serving tests and examples share: a
+//! request-serving run over the seven main workloads.
 //!
 //! Builds one [`service::ReuseService`] whose programs are the memoized
 //! modules the pipeline produced, then drives a mixed request batch
@@ -18,7 +18,6 @@
 //! identically to the fault-free baseline, and the four terminal
 //! statuses must account for the whole batch (DESIGN.md §8f).
 
-use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::runner::{prepare_with, PrepareOpts};
@@ -27,7 +26,7 @@ use service::{Request, ReuseService, ServiceConfig, ServiceProgram, ServiceRepor
 use vm::{CostModel, OptLevel};
 use workloads::Workload;
 
-/// Options for the serving benchmark.
+/// Options for a serving run.
 #[derive(Debug, Clone)]
 pub struct ServeOpts {
     /// Input-size scale factor for profiling and request inputs.
@@ -154,7 +153,6 @@ pub fn build_service(
             faults: opts.fault_plan(),
             deadline_cycles: opts.deadline_cycles,
             high_watermark: opts.high_watermark,
-            low_watermark: opts.high_watermark.map_or(0, |h| h / 2),
             // Chaos sweeps retry often; a cheap backoff keeps them fast
             // without changing any outcome.
             backoff_base_ns: 2_000,
@@ -185,16 +183,9 @@ pub struct SweepPoint {
     pub accounting_ok: bool,
 }
 
-/// The full serving-benchmark result.
+/// The full serving-run result.
 #[derive(Debug)]
 pub struct ServeSummary {
-    /// Options the sweep ran under.
-    pub opts: ServeOpts,
-    /// Host CPUs available to the process (parallel speedup is bounded
-    /// by this — a single-CPU host cannot show one).
-    pub cpus: usize,
-    /// Program names, in request `program`-index order.
-    pub workload_names: Vec<String>,
     /// Requests per batch.
     pub requests: usize,
     /// Sequential baseline: private tables per request, no sharing.
@@ -216,7 +207,7 @@ impl ServeSummary {
     }
 }
 
-/// Runs the serving benchmark at each worker count in `worker_counts`.
+/// Serves the batch at each worker count in `worker_counts`.
 ///
 /// # Panics
 ///
@@ -249,9 +240,6 @@ pub fn run_serve(ws: &[Workload], opts: &ServeOpts, worker_counts: &[usize]) -> 
         });
     }
     ServeSummary {
-        opts: opts.clone(),
-        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        workload_names: svc.program_names().iter().map(|s| s.to_string()).collect(),
         requests: requests.len(),
         baseline,
         points,
@@ -303,106 +291,6 @@ pub fn run_deciles(svc: &ReuseService, requests: &[Request]) -> DecileRun {
     }
 }
 
-/// The warm-restart benchmark's verdict (`metrics --serve
-/// --assert-warm-restart`): cold/warm/restored decile curves plus the
-/// gates the restored run must pass (DESIGN.md §8i).
-#[derive(Debug)]
-pub struct WarmRestartSummary {
-    /// Options the run used.
-    pub opts: ServeOpts,
-    /// Worker threads.
-    pub workers: usize,
-    /// Program names, in request `program`-index order.
-    pub workload_names: Vec<String>,
-    /// Requests per batch.
-    pub requests: usize,
-    /// First round against the cold store.
-    pub cold: DecileRun,
-    /// Second round over the populated store (the warm reference).
-    pub warm: DecileRun,
-    /// Round served after snapshot → "restart" → restore.
-    pub restored: DecileRun,
-    /// Snapshot file size in bytes.
-    pub snapshot_bytes: u64,
-    /// Whether the restore actually used the snapshot (`false` means it
-    /// degraded to a cold start, which fails the gate).
-    pub restore_ok: bool,
-    /// Whether every round's fingerprints equal the sequential baseline.
-    pub matches_baseline: bool,
-    /// Slack allowed between the restored and warm first-decile hit
-    /// ratios.
-    pub tolerance: f64,
-}
-
-impl WarmRestartSummary {
-    /// The warm-restart gate: the snapshot restored, every answer matched
-    /// the baseline, and the restored service was already at the warm hit
-    /// ratio within its first 10% of requests — its first decile must
-    /// match the warm round's first decile (the same requests at the same
-    /// position; the overall ratios mix input families and are reported,
-    /// not gated).
-    pub fn gate_holds(&self) -> bool {
-        self.restore_ok
-            && self.matches_baseline
-            && self.restored.first_decile() + self.tolerance >= self.warm.first_decile()
-    }
-}
-
-/// Runs the warm-restart benchmark: cold and warm decile rounds, a
-/// snapshot of the warm store, a simulated restart (stores reset cold),
-/// a restore, and a restored decile round.
-///
-/// `snapshot_out` chooses where the snapshot is written (a temp file
-/// otherwise); `snapshot_in` restores from an existing snapshot written
-/// by a previous run *instead of* this run's own (the cross-process warm
-/// start — the store shape must match).
-///
-/// # Panics
-///
-/// Panics if the pipeline fails for a workload (see [`build_service`]).
-pub fn run_warm_restart(
-    ws: &[Workload],
-    opts: &ServeOpts,
-    workers: usize,
-    snapshot_out: Option<&Path>,
-    snapshot_in: Option<&Path>,
-) -> WarmRestartSummary {
-    let (mut svc, requests) = build_service(ws, opts, workers);
-    let baseline = svc.run_private_sequential(&requests);
-    let expected = baseline.fingerprints();
-    let cold = run_deciles(&svc, &requests);
-    let warm = run_deciles(&svc, &requests);
-    let own_path: PathBuf = snapshot_out.map_or_else(
-        || std::env::temp_dir().join("compreuse-warm-restart.snap"),
-        Path::to_path_buf,
-    );
-    svc.snapshot_to(&own_path)
-        .unwrap_or_else(|e| panic!("cannot write snapshot to {}: {e}", own_path.display()));
-    let restore_path = snapshot_in.unwrap_or(&own_path);
-    let snapshot_bytes = std::fs::metadata(restore_path).map_or(0, |m| m.len());
-    // The "restart": every store is rebuilt cold, then the snapshot is
-    // restored — the same path a fresh process takes.
-    svc.reset_stores().expect("specs already built once");
-    let restore_ok = svc.restore_from(restore_path).is_restored();
-    let restored = run_deciles(&svc, &requests);
-    let matches_baseline = [&cold, &warm, &restored]
-        .iter()
-        .all(|r| r.fingerprints == expected);
-    WarmRestartSummary {
-        opts: opts.clone(),
-        workers,
-        workload_names: svc.program_names().iter().map(|s| s.to_string()).collect(),
-        requests: requests.len(),
-        cold,
-        warm,
-        restored,
-        snapshot_bytes,
-        restore_ok,
-        matches_baseline,
-        tolerance: 0.05,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -431,34 +319,6 @@ mod tests {
                 p.workers
             );
         }
-    }
-
-    #[test]
-    fn warm_restart_resumes_at_the_warm_hit_ratio() {
-        let ws = vec![workloads::unepic::unepic(), workloads::rasta::rasta()];
-        let opts = ServeOpts {
-            scale: 0.05,
-            requests_per_workload: 10, // 20 requests → deciles of 2
-            ..ServeOpts::default()
-        };
-        let dir = std::env::temp_dir().join("compreuse-bench-warm-restart");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("serve.snap");
-        let summary = run_warm_restart(&ws, &opts, 2, Some(&path), None);
-        assert!(summary.restore_ok, "snapshot must restore");
-        assert!(summary.matches_baseline, "fingerprints diverged");
-        assert!(summary.snapshot_bytes > 0);
-        assert!(
-            summary.gate_holds(),
-            "restored first decile {:.4} vs warm first decile {:.4}",
-            summary.restored.first_decile(),
-            summary.warm.first_decile()
-        );
-        assert!(
-            summary.restored.first_decile() > summary.cold.first_decile(),
-            "a restored store must beat a cold start out of the gate"
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

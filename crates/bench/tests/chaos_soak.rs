@@ -7,7 +7,9 @@
 //! its deadline or retried through poisoned shards and queue rejections
 //! — fingerprints identically to the fault-free sequential baseline.
 //! Faults may cost latency and hit ratio; they may never change an
-//! answer.
+//! answer. The sweep must also bite: across it some request retries and
+//! some shared-store probe is forced to miss, and a plan with a high
+//! watermark sheds some request.
 //!
 //! CI runs this in release (debug runs shrink the scale and the plan
 //! sweep, like `serve_determinism`).
@@ -25,29 +27,42 @@ fn scale() -> f64 {
     }
 }
 
-/// Seeds for the plan sweep; each drives an independent SplitMix64
+/// One fault plan of the sweep: seed, fire rate at every fail point,
+/// and the queue's high watermark (`None`: no load shedding).
+type Plan = (u64, f64, Option<usize>);
+
+/// Plans for the sweep. Each seed drives an independent SplitMix64
 /// stream, so the batch meets a different fault interleaving per seed.
-fn seeds() -> &'static [u64] {
-    if cfg!(debug_assertions) {
+/// The last plan is the harshest: seed 42 at rate 0.25 behind an 8-deep
+/// high watermark, so faults and load shedding meet in one batch.
+fn plans() -> Vec<Plan> {
+    let seeds: &[u64] = if cfg!(debug_assertions) {
         &[3, 77]
     } else {
         &[3, 13, 42, 77, 1001, 0xC0FFEE]
-    }
+    };
+    let mut plans: Vec<Plan> = seeds.iter().map(|&seed| (seed, 0.15, None)).collect();
+    plans.push((42, 0.25, Some(8)));
+    plans
 }
 
 #[test]
 fn seeded_fault_plans_never_change_an_executed_answer() {
     let ws = workloads::main_seven();
-    for &seed in seeds() {
+    let mut retries = 0;
+    let mut probe_misses = 0;
+    for (seed, rate, high_watermark) in plans() {
         let opts = ServeOpts {
             scale: scale(),
             requests_per_workload: 2,
             fault_seed: Some(seed),
-            fault_rate: 0.15,
+            fault_rate: rate,
+            high_watermark,
             ..ServeOpts::default()
         };
         let summary = run_serve(&ws, &opts, &[1, 2, 4]);
         let expected = summary.baseline.fingerprints();
+        let mut shed_total = 0;
         for p in &summary.points {
             for (round, r) in [("cold", &p.cold), ("warm", &p.warm)] {
                 assert!(
@@ -66,13 +81,31 @@ fn seeded_fault_plans_never_change_an_executed_answer() {
                 let faults = r.faults.as_ref().expect("plan installed");
                 assert!(
                     faults.total_fired() > 0,
-                    "seed {seed}: a 15% plan fired nothing over {} requests",
+                    "seed {seed}: a {rate} plan fired nothing over {} requests",
                     summary.requests
                 );
+                let [_, shed, _, _] = r.status_counts();
+                shed_total += shed;
+                retries += r.retries;
+                probe_misses += faults.fired_at(FailPoint::ProbeMiss);
             }
             assert!(p.matches_baseline && p.accounting_ok);
         }
+        if let Some(high) = high_watermark {
+            assert!(
+                shed_total > 0,
+                "seed {seed}: a {high}-deep watermark shed nothing"
+            );
+        }
     }
+    // The plans must reach every recovery path, not only fire: a retry
+    // (queue rejection or poisoned shard) and a forced probe miss on the
+    // shared stores.
+    assert!(retries > 0, "no request ever retried across the sweep");
+    assert!(
+        probe_misses > 0,
+        "no probe-miss fault fired on the shared stores across the sweep"
+    );
 }
 
 #[test]

@@ -53,7 +53,7 @@ pub use faults::{
 pub use lru::LruTable;
 pub use merged::MergedTable;
 pub use persist::{
-    read_snapshot, restore_words, snapshot_json, snapshot_words, write_snapshot, SnapshotError,
+    read_snapshot, restore_words, snapshot_checksum, snapshot_words, write_snapshot, SnapshotError,
     SNAPSHOT_VERSION,
 };
 pub use sharded::ShardedTable;

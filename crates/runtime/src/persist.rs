@@ -22,7 +22,7 @@
 //!               2 telemetry words (bypassed_total, dropped_records)
 //!               entry_count
 //!               per entry: slot  meta_word  stride row words
-//! checksum (wrapping sum of every preceding word)
+//! checksum (every preceding word mixed in order; see snapshot_checksum)
 //! ```
 //!
 //! The per-shard geometry is written *redundantly* — the restore target
@@ -30,19 +30,21 @@
 //! snapshot taken under different specs (or a corrupted one) is detected
 //! and refused with a typed [`SnapshotError`] instead of poisoning the
 //! store: restore never panics, and a failed restore leaves the caller
-//! free to fall back to a clean cold start. Older versions are refused
+//! free to fall back to a clean cold start. A statistics or telemetry
+//! word at or above 2^63 is refused as corrupt too, so a restored
+//! counter cannot overflow on the next probe. Older versions are refused
 //! by version and cold-start: version 1 carried a third telemetry word
-//! (the retired adaptive guard's epoch index), and version 2 carried 13
+//! (the retired adaptive guard's epoch index), version 2 carried 13
 //! statistics words, four of them counters of retired layers that were
-//! always 0 (optimistic hits and retries, L1 hits and promotions).
+//! always 0 (optimistic hits and retries, L1 hits and promotions), and
+//! version 3's checksum was a plain wrapping sum, which let two words
+//! with equal sums trade places unnoticed.
 //!
 //! What a snapshot deliberately does **not** carry: the forced-bypass
 //! flag (a restarted service is not overloaded yet), per-segment
 //! statistics splits (they describe the dead process), and TinyLFU
 //! sketch frequencies (stale frequencies would mis-admit; the
-//! sketch re-warms in one sample period). A strict JSON sibling of the
-//! metadata ([`snapshot_json`]) exists for debugging and is parseable by
-//! the bench crate's reader.
+//! sketch re-warms in one sample period).
 
 use std::io::Write;
 use std::path::Path;
@@ -51,13 +53,18 @@ use crate::sharded::ShardedTable;
 use crate::stats::TableStats;
 
 /// Snapshot format version; bumped on any layout change.
-pub const SNAPSHOT_VERSION: u64 = 3;
+pub const SNAPSHOT_VERSION: u64 = 4;
 
 /// Magic word opening every snapshot ("CRSNAP01").
 const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"CRSNAP01");
 
 /// Words one [`TableStats`] occupies in the stream.
 const STATS_WORDS: usize = 9;
+
+/// Statistics and telemetry words at or above this are refused as
+/// corrupt: no store counts that far, and a restored counter this high
+/// could overflow on the next probe.
+const COUNTER_LIMIT: u64 = 1 << 63;
 
 /// Why a snapshot could not be written or restored. Every restore-side
 /// variant means "fall back to a cold start" — never a panic.
@@ -175,9 +182,21 @@ pub fn snapshot_words(stores: &[&ShardedTable]) -> Vec<u64> {
             });
         }
     }
-    let checksum = words.iter().fold(0u64, |a, &w| a.wrapping_add(w));
-    words.push(checksum);
+    words.push(snapshot_checksum(&words));
     words
+}
+
+/// The trailing checksum word of a snapshot stream whose other words
+/// are `body`. Each word is mixed into a running state in order, so
+/// unlike a plain sum it also changes when words move or swap places.
+pub fn snapshot_checksum(body: &[u64]) -> u64 {
+    body.iter().fold(0, |acc, &w| {
+        // SplitMix64's finalizer: a bijection with full avalanche.
+        let mut z = acc.wrapping_add(0x9E37_79B9_7F4A_7C15) ^ w;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    })
 }
 
 /// Writes a snapshot of `stores` to `path` (atomically enough for the
@@ -239,25 +258,25 @@ impl<'a> Cursor<'a> {
 /// as "discard this store and cold-start" (a failed restore may leave
 /// some shards imported and others not).
 pub fn restore_words(stores: &mut [&mut ShardedTable], words: &[u64]) -> Result<(), SnapshotError> {
-    if words.len() < 4 {
+    let [magic, version, _, .., checksum] = *words else {
         return Err(SnapshotError::Truncated);
+    };
+    if magic != SNAPSHOT_MAGIC {
+        return Err(SnapshotError::BadMagic);
+    }
+    // The version is read before the checksum, so an older stream is
+    // refused by version whatever checksum its format used.
+    if version != SNAPSHOT_VERSION {
+        return Err(SnapshotError::UnsupportedVersion(version));
     }
     let body = &words[..words.len() - 1];
-    let checksum = body.iter().fold(0u64, |a, &w| a.wrapping_add(w));
-    if checksum != words[words.len() - 1] {
+    if snapshot_checksum(body) != checksum {
         return Err(SnapshotError::ChecksumMismatch);
     }
     let mut c = Cursor {
         words: body,
-        pos: 0,
+        pos: 2,
     };
-    if c.next()? != SNAPSHOT_MAGIC {
-        return Err(SnapshotError::BadMagic);
-    }
-    let version = c.next()?;
-    if version != SNAPSHOT_VERSION {
-        return Err(SnapshotError::UnsupportedVersion(version));
-    }
     if c.next_usize()? != stores.len() {
         return Err(SnapshotError::GeometryMismatch("store count"));
     }
@@ -278,15 +297,17 @@ pub fn restore_words(stores: &mut [&mut ShardedTable], words: &[u64]) -> Result<
                 out_words.push(c.next_usize()?);
                 fp_words.push(c.next_usize()?);
             }
-            let stats = stats_from_words(c.take(STATS_WORDS)?);
-            let bypassed_total = c.next()?;
-            let dropped_records = c.next()?;
+            let counters = c.take(STATS_WORDS + 2)?;
+            if counters.iter().any(|&w| w >= COUNTER_LIMIT) {
+                return Err(SnapshotError::Corrupt("counter out of range"));
+            }
+            let stats = stats_from_words(&counters[..STATS_WORDS]);
+            let (bypassed_total, dropped_records) =
+                (counters[STATS_WORDS], counters[STATS_WORDS + 1]);
             let entries = c.next_usize()?;
             if entries > slots {
                 return Err(SnapshotError::Corrupt("more entries than slots"));
             }
-            let stride =
-                key_words + out_words.iter().sum::<usize>() + fp_words.iter().sum::<usize>();
             store.with_shard(i, |t| {
                 let fresh = t
                     .snapshot_geometry()
@@ -294,6 +315,10 @@ pub fn restore_words(stores: &mut [&mut ShardedTable], words: &[u64]) -> Result<
                 if fresh != (slots, key_words, out_words.clone(), fp_words.clone()) {
                     return Err(SnapshotError::GeometryMismatch("shard shape"));
                 }
+                // The widths now match a real table, so their sum cannot
+                // overflow.
+                let stride =
+                    key_words + out_words.iter().sum::<usize>() + fp_words.iter().sum::<usize>();
                 t.clear();
                 for _ in 0..entries {
                     let slot = c.next_usize()?;
@@ -329,73 +354,6 @@ pub fn read_snapshot(stores: &mut [&mut ShardedTable], path: &Path) -> Result<()
         .map(|c| u64::from_le_bytes(c.try_into().expect("chunks_exact(8)")))
         .collect();
     restore_words(stores, &words)
-}
-
-fn json_stats(s: &TableStats) -> String {
-    format!(
-        concat!(
-            "{{\"accesses\":{},\"hits\":{},\"green_hits\":{},\"stale_reds\":{},",
-            "\"misses\":{},\"collisions\":{},\"evictions\":{},\"insertions\":{},",
-            "\"admission_rejects\":{}}}"
-        ),
-        s.accesses,
-        s.hits,
-        s.green_hits,
-        s.stale_reds,
-        s.misses,
-        s.collisions,
-        s.evictions,
-        s.insertions,
-        s.admission_rejects,
-    )
-}
-
-/// Strict JSON rendering of a snapshot's *metadata* (geometry, entry
-/// counts, statistics, bypass counters — not the entry payloads), for
-/// debugging and the bench reports. The output parses under the bench
-/// crate's strict JSON reader.
-pub fn snapshot_json(stores: &[&ShardedTable]) -> String {
-    let rendered: Vec<String> = stores
-        .iter()
-        .map(|store| {
-            let shard_stats = store.shard_stats();
-            let shards: Vec<String> = (0..store.shard_count())
-                .map(|i| {
-                    store.with_shard(i, |t| {
-                        let (slots, key_words, out_words, fp_words) = t
-                            .snapshot_geometry()
-                            .expect("sharded stores only build snapshot-capable kinds");
-                        let mut entries = 0u64;
-                        t.export_rows(&mut |_, _, _| entries += 1);
-                        let ow: Vec<String> = out_words.iter().map(usize::to_string).collect();
-                        let fw: Vec<String> = fp_words.iter().map(usize::to_string).collect();
-                        format!(
-                            concat!(
-                                "{{\"slots\":{},\"key_words\":{},\"out_words\":[{}],",
-                                "\"fp_words\":[{}],\"entries\":{},\"stats\":{},",
-                                "\"telemetry\":{{\"bypassed_total\":{},",
-                                "\"dropped_records\":{}}}}}"
-                            ),
-                            slots,
-                            key_words,
-                            ow.join(","),
-                            fw.join(","),
-                            entries,
-                            json_stats(&shard_stats[i]),
-                            t.bypassed_total(),
-                            t.dropped_records(),
-                        )
-                    })
-                })
-                .collect();
-            format!("{{\"shards\":[{}]}}", shards.join(","))
-        })
-        .collect();
-    format!(
-        "{{\"snapshot\":\"crsnap\",\"version\":{},\"stores\":[{}]}}",
-        SNAPSHOT_VERSION,
-        rendered.join(",")
-    )
 }
 
 #[cfg(test)]
@@ -495,7 +453,7 @@ mod tests {
         // "valid" and the targeted structural check is what rejects it.
         fn fix_checksum(words: &mut [u64]) {
             let n = words.len();
-            words[n - 1] = words[..n - 1].iter().fold(0u64, |a, &w| a.wrapping_add(w));
+            words[n - 1] = snapshot_checksum(&words[..n - 1]);
         }
         // Wrong magic.
         let mut bad_magic = good.clone();
@@ -589,16 +547,5 @@ mod tests {
         assert!(b.lookup(0, &[5], &mut out));
         assert_eq!(out, vec![50]);
         assert_eq!(b.stats().hits, before + 1, "the restored entry hits");
-    }
-
-    #[test]
-    fn snapshot_json_is_structurally_sound() {
-        let a = build(16, 2, 2);
-        a.record(0, &[1], &[10]);
-        let json = snapshot_json(&[&a]);
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"snapshot\":\"crsnap\""));
-        assert!(json.contains(&format!("\"version\":{SNAPSHOT_VERSION}")));
-        assert!(json.contains("\"admission_rejects\""));
     }
 }

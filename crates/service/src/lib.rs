@@ -147,11 +147,10 @@ pub struct ServiceConfig {
     /// Backoff ceiling, nanoseconds (decorrelated jitter stays under it).
     pub backoff_cap_ns: u64,
     /// Queue depth at which the producer starts shedding requests and
-    /// flips the stores to table bypass (`None` disables watermarks).
+    /// flips the stores to table bypass (`None` disables watermarks). A
+    /// degraded service re-arms its stores once the depth falls to half
+    /// this value (hysteresis, so it does not flap at one depth).
     pub high_watermark: Option<usize>,
-    /// Queue depth at which a degraded service re-arms its stores
-    /// (hysteresis: must be below the high watermark to avoid flapping).
-    pub low_watermark: usize,
     /// Whether the stores gate recordings through the TinyLFU admission
     /// sketch (DESIGN.md §8i): a new key must look more frequent than the
     /// resident it would evict, so one-shot keys stop churning hot
@@ -172,7 +171,6 @@ impl Default for ServiceConfig {
             backoff_base_ns: 20_000,
             backoff_cap_ns: 2_000_000,
             high_watermark: None,
-            low_watermark: 0,
             admission: false,
         }
     }
@@ -291,8 +289,6 @@ pub struct ServiceReport {
     pub results: Vec<RequestResult>,
     /// Host wall-clock for the whole batch, seconds.
     pub wall_seconds: f64,
-    /// Requests per wall-clock second.
-    pub throughput_rps: f64,
     /// Latency distribution of the *executed* requests.
     pub latency: LatencyHistogram,
     /// Latency distribution per terminal status, in
@@ -560,14 +556,6 @@ impl ReuseService {
         self.config.workers.max(1)
     }
 
-    /// Program names, in index order.
-    pub fn program_names(&self) -> Vec<&str> {
-        self.programs
-            .iter()
-            .map(|p| p.program.name.as_str())
-            .collect()
-    }
-
     /// Aggregate statistics over every program's shared store.
     pub fn store_stats(&self) -> TableStats {
         let mut total = TableStats::default();
@@ -614,9 +602,9 @@ impl ReuseService {
     /// indexed by submission position either way. Every request ends in
     /// exactly one terminal [`RequestStatus`]; under an installed fault
     /// plan, retryable faults (queue rejections, poisoned shards) are
-    /// retried with decorrelated backoff up to three times, and the
-    /// high/low watermarks shed load and flip the stores to bypass while
-    /// the queue is backed up.
+    /// retried with decorrelated backoff up to three times, and the high
+    /// watermark sheds load and flips the stores to bypass while the
+    /// queue is backed up.
     ///
     /// # Panics
     ///
@@ -683,7 +671,7 @@ impl ReuseService {
                             Some(unserved(idx, req.program, RequestStatus::Shed, 0, 0));
                         continue;
                     }
-                    if degraded && depth <= self.config.low_watermark {
+                    if degraded && depth <= high / 2 {
                         degraded = false;
                         self.for_each_store(ShardedTable::end_forced_bypass);
                     }
@@ -765,11 +753,6 @@ impl ReuseService {
             }
         }
         ServiceReport {
-            throughput_rps: if wall_seconds > 0.0 {
-                results.len() as f64 / wall_seconds
-            } else {
-                0.0
-            },
             results,
             wall_seconds,
             latency,
@@ -930,11 +913,6 @@ impl ReuseService {
             .collect();
         latency_by_status[RequestStatus::Ok.index()] = latency.clone();
         ServiceReport {
-            throughput_rps: if wall_seconds > 0.0 {
-                results.len() as f64 / wall_seconds
-            } else {
-                0.0
-            },
             per_worker: vec![results.len() as u64],
             results,
             wall_seconds,
@@ -1214,7 +1192,6 @@ mod tests {
                 workers: 1,
                 queue_capacity: 4,
                 high_watermark: Some(2),
-                low_watermark: 0,
                 ..ServiceConfig::default()
             },
         )

@@ -9,10 +9,13 @@
 //! truncated, old-version and version-bumped snapshots to both the
 //! word-level API
 //! and a full `ReuseService`, requiring a clean cold start — never a
-//! panic, never a partial import.
+//! panic, never a partial import. A fuzz property mutates a real
+//! snapshot (bit flips, truncations, splices, overwritten words) and
+//! requires each mutation to restore exactly or cold-start.
 
 use memo_runtime::{
-    restore_words, snapshot_words, ShardedTable, SnapshotError, TableSpec, SNAPSHOT_VERSION,
+    restore_words, snapshot_checksum, snapshot_words, ShardedTable, SnapshotError, TableSpec,
+    SNAPSHOT_VERSION,
 };
 use proptest::prelude::*;
 
@@ -132,13 +135,11 @@ fn snapshot_fixture() -> (Vec<SegPlan>, Vec<(u64, usize)>, Vec<u64>) {
 
 /// Recomputes the trailing checksum word after a deliberate mutation so
 /// a test reaches the validation stage it targets instead of tripping
-/// the checksum first.
+/// the checksum first. An empty stream has no checksum word to fix.
 fn fix_checksum(words: &mut [u64]) {
-    let n = words.len();
-    let sum = words[..n - 1]
-        .iter()
-        .fold(0u64, |acc, w| acc.wrapping_add(*w));
-    words[n - 1] = sum;
+    if let Some((last, body)) = words.split_last_mut() {
+        *last = snapshot_checksum(body);
+    }
 }
 
 /// After a refused restore the target must still be a working cold
@@ -183,6 +184,14 @@ fn bitflipped_snapshots_are_refused() {
     }
 }
 
+/// Writes the checksum versions 1 to 3 used, a wrapping sum of the body,
+/// into the stream's last word.
+fn sum_checksum(words: &mut [u64]) {
+    if let Some((last, body)) = words.split_last_mut() {
+        *last = body.iter().fold(0u64, |acc, w| acc.wrapping_add(*w));
+    }
+}
+
 /// A version-1 stream in that format's own layout: one empty store of
 /// one single-segment shard, whose shard carries three telemetry words
 /// (epoch, bypassed_total, dropped_records) where later versions have two.
@@ -192,32 +201,37 @@ fn v1_snapshot(slots: u64) -> Vec<u64> {
     words.extend([7, 0, 0]);
     words.push(0);
     words.push(0);
-    fix_checksum(&mut words);
+    sum_checksum(&mut words);
     words
 }
 
 /// A version-2 stream in that format's own layout: one empty store of
 /// one single-segment shard, whose shard carries 13 statistics words
-/// where version 3 has nine (v2 also stored four always-0 counters of
-/// retired layers), then two telemetry words.
+/// where later versions have nine (v2 also stored four always-0 counters
+/// of retired layers), then two telemetry words.
 fn v2_snapshot(slots: u64) -> Vec<u64> {
     let mut words = vec![u64::from_le_bytes(*b"CRSNAP01"), 2, 1, 1, slots, 1, 1, 1, 0];
     words.extend([0u64; 13]);
     words.extend([0, 0]);
     words.push(0);
     words.push(0);
-    fix_checksum(&mut words);
+    sum_checksum(&mut words);
     words
 }
 
 #[test]
 fn version_bumped_snapshots_are_refused() {
     let (segs, _keys, mut future) = snapshot_fixture();
+    // Version 3 had today's layout under the summed checksum.
+    let mut v3 = future.clone();
+    v3[1] = 3;
+    sum_checksum(&mut v3);
     future[1] = SNAPSHOT_VERSION + 1;
     fix_checksum(&mut future);
     let cases = [
         (v1_snapshot(64), 1, build_store(64, 1, &[(1, 0)], false)),
         (v2_snapshot(64), 2, build_store(64, 1, &[(1, 0)], false)),
+        (v3, 3, build_store(64, 2, &segs, false)),
         (
             future,
             SNAPSHOT_VERSION + 1,
@@ -250,48 +264,249 @@ fn geometry_mismatches_are_refused() {
     assert_cold_and_working(&wrong);
 }
 
-/// End-to-end through `ReuseService`: warm a tiny service, snapshot it,
-/// "restart" by resetting the stores, restore, and require the restored
-/// service to answer the same batch with identical fingerprints at a
-/// warm hit ratio. Then corrupt the file on disk and require the next
-/// restore to cold-start cleanly.
+/// Index of the first shard's first statistics word (accesses) in a
+/// one-store snapshot: magic, version, store count, shard count, then
+/// the shard's slots, key words, segment count and two widths per
+/// segment.
+fn first_stats_word(segs: &[SegPlan]) -> usize {
+    7 + 2 * segs.len()
+}
+
+/// Found by the fuzz below: a restored counter at the top of its range
+/// made the next probe overflow it (a panic in debug builds).
+#[test]
+fn out_of_range_counters_are_refused() {
+    let (segs, _keys, words) = snapshot_fixture();
+    let mut bad = words.clone();
+    bad[first_stats_word(&segs)] = u64::MAX;
+    fix_checksum(&mut bad);
+    let mut target = build_store(64, 2, &segs, false);
+    let err = restore_words(&mut [&mut target], &bad).expect_err("a huge counter must fail");
+    assert!(
+        matches!(err, SnapshotError::Corrupt(_)),
+        "unexpected error: {err}"
+    );
+    assert_cold_and_working(&target);
+}
+
+/// Found by the fuzz below: under a summed checksum two words could trade
+/// places and the stream still restored, with other contents.
+#[test]
+fn swapped_words_fail_the_checksum() {
+    let (segs, _keys, words) = snapshot_fixture();
+    let at = first_stats_word(&segs);
+    assert_ne!(words[at], words[at + 1], "accesses and hits differ");
+    let mut swapped = words.clone();
+    swapped.swap(at, at + 1);
+    let mut target = build_store(64, 2, &segs, false);
+    let err = restore_words(&mut [&mut target], &swapped).expect_err("a swap must fail");
+    assert!(
+        matches!(err, SnapshotError::ChecksumMismatch),
+        "unexpected error: {err}"
+    );
+    assert_cold_and_working(&target);
+}
+
+/// Cases per fuzz property in a debug build; release runs ten times as
+/// many.
+fn cases(debug: u32) -> u32 {
+    if cfg!(debug_assertions) {
+        debug
+    } else {
+        10 * debug
+    }
+}
+
+/// The stores the fuzz snapshots, as `(slots, shards, segments)`: a
+/// merged table with an exact and a fingerprinted segment over two
+/// shards, and a one-segment fingerprinted direct table.
+const FUZZ_STORES: [(usize, usize, &[SegPlan]); 2] =
+    [(64, 2, &[(1, 0), (2, 2)]), (32, 1, &[(1, 1)])];
+
+/// Keys the fuzz fills and later probes the stores with.
+fn fuzz_keys() -> Vec<(u64, usize)> {
+    (0..40u64).map(|k| (k * 3 + 1, k as usize)).collect()
+}
+
+/// Empty stores of [`FUZZ_STORES`]' shapes.
+fn fuzz_targets() -> Vec<ShardedTable> {
+    FUZZ_STORES
+        .iter()
+        .map(|&(slots, shards, segs)| build_store(slots, shards, segs, false))
+        .collect()
+}
+
+/// The real snapshot every fuzz case mutates.
+fn fuzz_snapshot() -> Vec<u64> {
+    let stores = fuzz_targets();
+    for (store, (_, _, segs)) in stores.iter().zip(FUZZ_STORES) {
+        populate(store, segs, &fuzz_keys());
+    }
+    let refs: Vec<&ShardedTable> = stores.iter().collect();
+    snapshot_words(&refs)
+}
+
+/// One edit of a snapshot word stream. Positions are taken modulo the
+/// stream's length when applied.
+#[derive(Debug, Clone)]
+enum WordEdit {
+    /// Flip one bit of one word.
+    FlipBit { at: usize, bit: u32 },
+    /// Keep only the first `len` words.
+    Truncate { len: usize },
+    /// Copy `len` words starting at `from` over the words at `to`.
+    Splice { from: usize, to: usize, len: usize },
+    /// Overwrite one word.
+    Word { at: usize, word: u64 },
+}
+
+fn arb_word_edit() -> impl Strategy<Value = WordEdit> {
+    prop_oneof![
+        (0usize..4096, 0u32..64).prop_map(|(at, bit)| WordEdit::FlipBit { at, bit }),
+        (0usize..4096).prop_map(|len| WordEdit::Truncate { len }),
+        (0usize..4096, 0usize..4096, 1usize..=8).prop_map(|(from, to, len)| WordEdit::Splice {
+            from,
+            to,
+            len
+        }),
+        // Small words land in counts and widths, words near the top of
+        // the range reach the overflow edges, and any word the rest.
+        (0usize..4096, 0u64..80).prop_map(|(at, word)| WordEdit::Word { at, word }),
+        (0usize..4096, 0u64..80).prop_map(|(at, w)| WordEdit::Word {
+            at,
+            word: u64::MAX - w,
+        }),
+        (0usize..4096, 0u64..=u64::MAX).prop_map(|(at, word)| WordEdit::Word { at, word }),
+    ]
+}
+
+fn apply_edit(words: &mut Vec<u64>, edit: &WordEdit) {
+    let n = words.len();
+    if n == 0 {
+        return;
+    }
+    match *edit {
+        WordEdit::FlipBit { at, bit } => words[at % n] ^= 1 << bit,
+        WordEdit::Truncate { len } => words.truncate(len % n),
+        WordEdit::Splice { from, to, len } => {
+            let (from, to) = (from % n, to % n);
+            let len = len.min(n - from).min(n - to);
+            words.copy_within(from..from + len, to);
+        }
+        WordEdit::Word { at, word } => words[at % n] = word,
+    }
+}
+
+/// Restores `words` into fresh stores of the fuzz shapes. Whatever the
+/// verdict, the stores must keep working: after `Err` each is a cold
+/// store, after `Ok` every probe shape still answers.
+fn restore_fuzzed(words: &[u64]) -> bool {
+    let mut targets = fuzz_targets();
+    let mut refs: Vec<&mut ShardedTable> = targets.iter_mut().collect();
+    let restored = restore_words(&mut refs, words).is_ok();
+    for (store, (_, _, segs)) in targets.iter().zip(FUZZ_STORES) {
+        if restored {
+            probe_trace(store, segs, &fuzz_keys());
+            let _ = store.stats();
+        }
+        assert_cold_and_working(store);
+    }
+    restored
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(2048)))]
+
+    /// Fuzzes `restore_words` with bit flips, truncations, splices and
+    /// overwritten words of a real two-store snapshot. Each mutation is
+    /// fed twice: raw, where the checksum must refuse anything but the
+    /// original words, and with the checksum recomputed, so the
+    /// structural checks behind it are reached. Neither may panic.
+    #[test]
+    fn mutated_snapshots_restore_exactly_or_cold_start(
+        edits in prop::collection::vec(arb_word_edit(), 1..=3),
+    ) {
+        let original = fuzz_snapshot();
+        let mut words = original.clone();
+        for edit in &edits {
+            apply_edit(&mut words, edit);
+        }
+        let raw_ok = restore_fuzzed(&words);
+        prop_assert!(
+            !raw_ok || words == original,
+            "edits {:?} changed the snapshot and it still restored",
+            edits
+        );
+        fix_checksum(&mut words);
+        restore_fuzzed(&words);
+    }
+}
+
+/// End-to-end through `ReuseService`, with admission off and on: warm a
+/// small service, snapshot it, "restart" by resetting the stores,
+/// restore, and require the restored service to answer the same batch
+/// with identical fingerprints at the warm hit ratio from its first
+/// decile of requests on. Then corrupt the file on disk and require the
+/// next restore to cold-start cleanly.
 #[test]
 fn service_restores_warm_and_cold_starts_on_corruption() {
-    use bench::serve::{build_service, ServeOpts};
+    for admission in [false, true] {
+        service_restore_round_trip(admission);
+    }
+}
 
-    let ws = vec![workloads::by_name("UNEPIC").expect("workload exists")];
+fn service_restore_round_trip(admission: bool) {
+    use bench::serve::{build_service, run_deciles, ServeOpts};
+
+    let ws = vec![
+        workloads::by_name("UNEPIC").expect("workload exists"),
+        workloads::by_name("RASTA").expect("workload exists"),
+    ];
     let opts = ServeOpts {
         scale: 0.05,
-        requests_per_workload: 4,
+        requests_per_workload: 10, // 20 requests: deciles of 2
+        admission,
         ..ServeOpts::default()
     };
     let (mut svc, requests) = build_service(&ws, &opts, 2);
     let baseline: Vec<u64> = svc.run_private_sequential(&requests).fingerprints();
-    let cold = svc.run(&requests);
-    let warm = svc.run(&requests);
-    assert_eq!(warm.fingerprints(), baseline, "warm answers match");
+    let cold = run_deciles(&svc, &requests);
+    let warm = run_deciles(&svc, &requests);
+    assert_eq!(cold.fingerprints, baseline, "cold answers match");
+    assert_eq!(warm.fingerprints, baseline, "warm answers match");
 
     let path = std::env::temp_dir().join(format!(
-        "compreuse-persistence-it-{}.snap",
+        "compreuse-persistence-it-{}-{admission}.snap",
         std::process::id()
     ));
     svc.snapshot_to(&path).expect("snapshot writes");
     svc.reset_stores().expect("reset rebuilds stores");
     assert!(svc.restore_from(&path).is_restored(), "restore succeeds");
-    let restored = svc.run(&requests);
-    assert_eq!(restored.fingerprints(), baseline, "restored answers match");
-    assert!(
-        restored.hit_ratio() >= warm.hit_ratio() - 0.05,
-        "restored batch resumes warm: {:.4} vs {:.4}",
-        restored.hit_ratio(),
-        warm.hit_ratio()
-    );
-    assert!(
-        restored.hit_ratio() > cold.hit_ratio(),
-        "restored batch beats cold: {:.4} vs {:.4}",
-        restored.hit_ratio(),
-        cold.hit_ratio()
-    );
+    let restored = run_deciles(&svc, &requests);
+    assert_eq!(restored.fingerprints, baseline, "restored answers match");
+    for (what, r, w, c) in [
+        (
+            "whole batch",
+            restored.overall(),
+            warm.overall(),
+            cold.overall(),
+        ),
+        (
+            "first decile",
+            restored.first_decile(),
+            warm.first_decile(),
+            cold.first_decile(),
+        ),
+    ] {
+        assert!(
+            r >= w - 0.05,
+            "admission {admission}: restored {what} resumes warm: {r:.4} vs {w:.4}"
+        );
+        assert!(
+            r > c,
+            "admission {admission}: restored {what} beats cold: {r:.4} vs {c:.4}"
+        );
+    }
 
     // Corrupt the file; the service must cold-start, not panic, and the
     // cold run must still produce the baseline answers.
