@@ -15,7 +15,9 @@
 //! profile's predictions.
 //!
 //! Defaults: `G721_encode`, scale 0.25, O0. The process exits nonzero
-//! unless the memoized run prints what the baseline prints.
+//! unless the memoized run prints what the baseline prints, and with
+//! status 2 and a usage line on an unknown flag or workload or a
+//! malformed value.
 //!
 //! The report is the same under either execution engine
 //! (`engine_differential` pins that), so it runs on the default one.
@@ -24,6 +26,9 @@
 //! `persistence` and `serve_determinism` tests.
 
 use bench::runner::{execute_with_tables, prepare, InputKind};
+use bench::{exit_usage, parse_opt, parse_scale};
+
+const FLAGS: &str = "[workload] [--scale f] [--opt o0|o3] [--alt]";
 
 fn main() {
     let mut name = "G721_encode".to_string();
@@ -31,34 +36,24 @@ fn main() {
     let mut opt = vm::OptLevel::O0;
     let mut input = InputKind::Default;
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = argv
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| panic!("--scale needs a number"));
-            }
-            "--opt" => {
-                i += 1;
-                opt = match argv.get(i).map(String::as_str) {
-                    Some("o0") | Some("O0") => vm::OptLevel::O0,
-                    Some("o3") | Some("O3") => vm::OptLevel::O3,
-                    other => panic!("--opt needs o0 or o3, got {other:?}"),
-                };
-            }
+    let mut it = argv.iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().map(String::as_str);
+        match arg.as_str() {
+            "--scale" => scale = parse_scale(value()).unwrap_or_else(|e| exit_usage(&e, FLAGS)),
+            "--opt" => opt = parse_opt(value()).unwrap_or_else(|e| exit_usage(&e, FLAGS)),
             "--alt" => input = InputKind::Alt,
             w if !w.starts_with('-') => name = w.to_string(),
-            other => panic!("unknown flag {other}"),
+            other => exit_usage(&format!("unknown flag {other}"), FLAGS),
         }
-        i += 1;
     }
 
     let w = workloads::by_name(&name).unwrap_or_else(|| {
         let names: Vec<&str> = workloads::all_eleven().iter().map(|w| w.name).collect();
-        panic!("unknown workload {name}; one of: {}", names.join(", "))
+        exit_usage(
+            &format!("unknown workload {name}; one of: {}", names.join(", ")),
+            FLAGS,
+        )
     });
     let p = prepare(&w, opt, scale);
     let tables = p.outcome.try_make_tables().unwrap_or_else(|e| {

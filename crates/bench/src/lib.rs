@@ -16,7 +16,8 @@
 //! | `all_tables` | everything above in one run |
 //!
 //! Common flags: `--scale <f>` (input-size factor, default 0.25),
-//! `--opt <o0|o3>` where applicable. Run with `--release`; a tree-walking
+//! `--opt <o0|o3>` where applicable; a malformed command line prints a
+//! usage line and exits with status 2. Run with `--release`; a tree-walking
 //! interpreter in debug mode is an order of magnitude slower.
 
 #![warn(missing_docs)]
@@ -52,46 +53,73 @@ impl Default for Args {
 
 impl Args {
     /// Parses `--scale <f>`, `--opt <o0|o3>`, `--fig <n>` from the process
-    /// arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// arguments. A malformed command line prints the error and a usage
+    /// line to stderr and exits with status 2 ([`exit_usage`]).
     pub fn parse() -> Args {
-        let mut args = Args::default();
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < argv.len() {
-            match argv[i].as_str() {
-                "--scale" => {
-                    i += 1;
-                    args.scale = argv
-                        .get(i)
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or_else(|| panic!("--scale needs a number"));
-                }
-                "--opt" => {
-                    i += 1;
-                    args.opt = match argv.get(i).map(String::as_str) {
-                        Some("o0") | Some("O0") => vm::OptLevel::O0,
-                        Some("o3") | Some("O3") => vm::OptLevel::O3,
-                        other => panic!("--opt needs o0 or o3, got {other:?}"),
-                    };
-                }
-                "--fig" => {
-                    i += 1;
-                    args.fig = Some(
-                        argv.get(i)
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| panic!("--fig needs a number")),
-                    );
-                }
-                other => panic!("unknown argument {other}"),
-            }
-            i += 1;
-        }
-        args
+        Args::from_argv(&argv)
+            .unwrap_or_else(|e| exit_usage(&e, "[--scale f] [--opt o0|o3] [--fig n]"))
     }
+
+    fn from_argv(argv: &[String]) -> Result<Args, String> {
+        let mut args = Args::default();
+        let mut it = argv.iter();
+        while let Some(flag) = it.next() {
+            let value = it.next().map(String::as_str);
+            match flag.as_str() {
+                "--scale" => args.scale = parse_scale(value)?,
+                "--opt" => args.opt = parse_opt(value)?,
+                "--fig" => {
+                    args.fig = Some(
+                        value
+                            .and_then(|s| s.parse().ok())
+                            .ok_or("--fig needs a number")?,
+                    )
+                }
+                other => return Err(format!("unknown argument {other}")),
+            }
+        }
+        Ok(args)
+    }
+}
+
+/// Parses the value of `--scale`.
+///
+/// # Errors
+///
+/// Returns the message to print when the value is missing or not a number.
+pub fn parse_scale(value: Option<&str>) -> Result<f64, String> {
+    value
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("--scale needs a number, got {:?}", value.unwrap_or("")))
+}
+
+/// Parses the value of `--opt`.
+///
+/// # Errors
+///
+/// Returns the message to print when the value is not `o0` or `o3`.
+pub fn parse_opt(value: Option<&str>) -> Result<vm::OptLevel, String> {
+    match value {
+        Some("o0") | Some("O0") => Ok(vm::OptLevel::O0),
+        Some("o3") | Some("O3") => Ok(vm::OptLevel::O3),
+        other => Err(format!(
+            "--opt needs o0 or o3, got {:?}",
+            other.unwrap_or("")
+        )),
+    }
+}
+
+/// Prints `error` and a usage line naming the running binary and its
+/// `flags` to stderr, then exits with status 2: how every binary here
+/// answers a malformed command line.
+pub fn exit_usage(error: &str, flags: &str) -> ! {
+    let argv0 = std::env::args().next().unwrap_or_default();
+    let bin = std::path::Path::new(&argv0)
+        .file_name()
+        .map_or_else(|| argv0.as_str().into(), std::ffi::OsStr::to_string_lossy);
+    eprintln!("{bin}: {error}\nusage: {bin} {flags}");
+    std::process::exit(2)
 }
 
 /// Harmonic mean of a slice (the paper's summary statistic for speedups).

@@ -196,29 +196,12 @@ pub fn measure_all(
     scale: f64,
     input: InputKind,
 ) -> Vec<Measurement> {
-    measure_all_with_engine(workloads, opt, scale, input, vm::Engine::default())
-}
-
-/// Like [`measure_all`] but on an explicit execution engine (modelled
-/// results are engine-independent; wall-clock is not).
-pub fn measure_all_with_engine(
-    workloads: &[Workload],
-    opt: OptLevel,
-    scale: f64,
-    input: InputKind,
-    engine: vm::Engine,
-) -> Vec<Measurement> {
-    let opts = PrepareOpts {
-        engine,
-        ..PrepareOpts::default()
-    };
     let mut results: Vec<Option<Measurement>> = Vec::new();
     results.resize_with(workloads.len(), || None);
     std::thread::scope(|s| {
         for (slot, w) in results.iter_mut().zip(workloads) {
-            let opts = &opts;
             s.spawn(move || {
-                let p = prepare_with(w, opt, scale, opts);
+                let p = prepare(w, opt, scale);
                 let m = execute(&p, w, input, scale);
                 assert!(m.output_match, "{}: outputs diverged", w.name);
                 *slot = Some(m);

@@ -153,10 +153,6 @@ pub fn build_service(
             faults: opts.fault_plan(),
             deadline_cycles: opts.deadline_cycles,
             high_watermark: opts.high_watermark,
-            // Chaos sweeps retry often; a cheap backoff keeps them fast
-            // without changing any outcome.
-            backoff_base_ns: 2_000,
-            backoff_cap_ns: 200_000,
             admission: opts.admission,
         },
     )

@@ -51,7 +51,7 @@ fn seven_workload_mix_fingerprints_match_sequential_baseline() {
         assert!(p.matches_baseline);
         // Every request was served exactly once, by some worker.
         assert_eq!(p.cold.per_worker.iter().sum::<u64>(), 14);
-        assert_eq!(p.warm.latency.count(), 14);
+        assert_eq!(p.warm.executed_fingerprints().len(), 14);
     }
 }
 

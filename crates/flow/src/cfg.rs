@@ -9,7 +9,7 @@
 
 use crate::graph::DiGraph;
 use minic::ast::{Block, Expr, MemoStmt, NodeId, ProfileStmt, Stmt, StmtKind};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// Index of a basic block within a [`Cfg`].
 pub type BlockId = usize;
@@ -164,20 +164,6 @@ impl<'p> Cfg<'p> {
         }
         exits.sort_unstable();
         exits
-    }
-
-    /// Map from origin statement id to the blocks holding its instructions.
-    pub fn blocks_by_origin(&self) -> HashMap<NodeId, Vec<BlockId>> {
-        let mut map: HashMap<NodeId, Vec<BlockId>> = HashMap::new();
-        for (bid, blk) in self.blocks.iter().enumerate() {
-            for i in &blk.instrs {
-                let v = map.entry(i.origin).or_default();
-                if v.last() != Some(&bid) {
-                    v.push(bid);
-                }
-            }
-        }
-        map
     }
 }
 

@@ -32,13 +32,6 @@ impl DiGraph {
         self.succs.is_empty()
     }
 
-    /// Adds a node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.succs.push(Vec::new());
-        self.preds.push(Vec::new());
-        self.succs.len() - 1
-    }
-
     /// Adds edge `from → to`. Parallel edges are collapsed.
     ///
     /// # Panics

@@ -22,6 +22,10 @@ use std::sync::Once;
 /// mute exactly them.
 pub const INJECTED_POISON_PANIC: &str = "injected shard poison (chaos plane)";
 
+/// Synthetic cycles a [`FailPoint::SlowRequest`] fire charges: large
+/// enough to trip any realistic cycle deadline on its own.
+pub const SLOW_PENALTY_CYCLES: u64 = 1 << 40;
+
 /// Number of distinct [`FailPoint`]s.
 pub const FAIL_POINT_COUNT: usize = 4;
 
@@ -36,8 +40,7 @@ pub enum FailPoint {
     ShardPoison,
     /// A queue push is rejected as if the queue were full; retryable.
     QueueReject,
-    /// A request is charged [`FaultPlan::slow_penalty_cycles`] extra
-    /// cycles, the deterministic stand-in for a stalled dependency —
+    /// A request is charged [`SLOW_PENALTY_CYCLES`] extra cycles, the deterministic stand-in for a stalled dependency —
     /// what request deadlines are measured against.
     SlowRequest,
 }
@@ -137,7 +140,6 @@ impl FaultCounters {
 pub struct FaultPlan {
     seed: u64,
     rates: [f64; FAIL_POINT_COUNT],
-    slow_penalty_cycles: u64,
     draws: [AtomicU64; FAIL_POINT_COUNT],
     fired: [AtomicU64; FAIL_POINT_COUNT],
     /// Separate stream for structural picks (which shard to poison,
@@ -151,7 +153,6 @@ impl FaultPlan {
         FaultPlan {
             seed: splitmix64(seed ^ 0x5EED_FA17_7F1A), // decorrelate tiny seeds
             rates: [0.0; FAIL_POINT_COUNT],
-            slow_penalty_cycles: 1 << 40,
             draws: Default::default(),
             fired: Default::default(),
             aux: AtomicU64::new(0),
@@ -174,15 +175,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the synthetic cycle penalty a [`FailPoint::SlowRequest`] fire
-    /// charges (default `2^40`, large enough to trip any realistic
-    /// cycle deadline on its own).
-    #[must_use]
-    pub fn with_slow_penalty_cycles(mut self, cycles: u64) -> Self {
-        self.slow_penalty_cycles = cycles;
-        self
-    }
-
     /// The (mixed) seed identifying this plan's streams.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -191,16 +183,6 @@ impl FaultPlan {
     /// `point`'s injection probability.
     pub fn rate(&self, point: FailPoint) -> f64 {
         self.rates[point.index()]
-    }
-
-    /// Cycle penalty charged per [`FailPoint::SlowRequest`] fire.
-    pub fn slow_penalty_cycles(&self) -> u64 {
-        self.slow_penalty_cycles
-    }
-
-    /// Whether any point can fire at all.
-    pub fn any_enabled(&self) -> bool {
-        self.rates.iter().any(|&r| r > 0.0)
     }
 
     /// Draws the next decision for `point`: `true` means inject the
@@ -241,31 +223,15 @@ impl FaultPlan {
         c
     }
 
-    fn aux_draw(&self) -> u64 {
-        let n = self.aux.fetch_add(1, Ordering::Relaxed);
-        splitmix64(self.seed ^ 0xD6E8_FEB8_6659_FD93 ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// A structural pick in `0..n` (which table, which shard), from the
-    /// auxiliary stream so it never shifts the fire/no-fire sequences.
-    /// Returns 0 when `n` is 0.
+    /// A structural pick in `0..n` (which table, which shard, how long to
+    /// back off), from the auxiliary stream so it never shifts the
+    /// fire/no-fire sequences. Returns 0 when `n` is 0.
     pub fn pick(&self, n: u64) -> u64 {
         if n == 0 {
             return 0;
         }
-        self.aux_draw() % n
-    }
-
-    /// Decorrelated-jitter exponential backoff (the "decorrelated jitter"
-    /// scheme): a uniform draw from `[base_ns, min(cap_ns, base_ns *
-    /// 3^attempt)]`, so retry storms desynchronise instead of thundering
-    /// in lockstep. `attempt` counts from 1.
-    pub fn backoff_ns(&self, attempt: u32, base_ns: u64, cap_ns: u64) -> u64 {
-        let base = base_ns.max(1);
-        let ceil = base
-            .saturating_mul(3u64.saturating_pow(attempt.min(32)))
-            .min(cap_ns.max(base));
-        base + self.aux_draw() % (ceil - base + 1)
+        let i = self.aux.fetch_add(1, Ordering::Relaxed);
+        splitmix64(self.seed ^ 0xD6E8_FEB8_6659_FD93 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)) % n
     }
 }
 
@@ -368,22 +334,6 @@ mod tests {
         assert_eq!(delta.draws_at(FailPoint::ProbeMiss), 40);
         assert!(delta.fired_at(FailPoint::ProbeMiss) <= 40);
         assert_eq!(delta.draws_at(FailPoint::QueueReject), 0);
-    }
-
-    #[test]
-    fn backoff_grows_within_bounds() {
-        let p = FaultPlan::new(11);
-        for attempt in 1..8 {
-            for _ in 0..50 {
-                let ns = p.backoff_ns(attempt, 1_000, 50_000);
-                assert!(ns >= 1_000, "below base: {ns}");
-                assert!(ns <= 50_000, "above cap: {ns}");
-            }
-        }
-        // Attempt 1 is bounded by base*3.
-        for _ in 0..50 {
-            assert!(p.backoff_ns(1, 1_000, 50_000) <= 3_000);
-        }
     }
 
     #[test]

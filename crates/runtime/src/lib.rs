@@ -48,7 +48,7 @@ pub use admission::{key_hash64, TinyLfu};
 pub use direct::DirectTable;
 pub use faults::{
     silence_injected_panics, FailPoint, FaultCounters, FaultPlan, FAIL_POINT_COUNT,
-    INJECTED_POISON_PANIC,
+    INJECTED_POISON_PANIC, SLOW_PENALTY_CYCLES,
 };
 pub use lru::LruTable;
 pub use merged::MergedTable;

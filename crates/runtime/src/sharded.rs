@@ -262,12 +262,6 @@ impl ShardedTable {
         }
     }
 
-    /// Whether TinyLFU admission is enabled (on shard 0 — shards are
-    /// always configured uniformly).
-    pub fn admission_enabled(&mut self) -> bool {
-        self.acquire(0).sketch.is_some()
-    }
-
     /// Number of shards (a power of two).
     pub fn shard_count(&self) -> usize {
         self.shards.len()

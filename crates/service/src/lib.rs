@@ -71,7 +71,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod fingerprint;
-pub mod histogram;
 pub mod queue;
 
 use std::path::Path;
@@ -80,12 +79,11 @@ use std::time::{Duration, Instant};
 
 use memo_runtime::{
     FailPoint, FaultCounters, FaultPlan, GuardPolicy, MemoTable, ShardedTable, SnapshotError,
-    SpecError, TableSpec, TableStats,
+    SpecError, TableSpec, TableStats, SLOW_PENALTY_CYCLES,
 };
 use vm::{CostModel, Module, RunConfig};
 
 pub use fingerprint::fingerprint_outcome;
-pub use histogram::LatencyHistogram;
 pub use queue::{BoundedQueue, PushError};
 
 /// One program the service can serve: the memoized module plus the table
@@ -119,6 +117,24 @@ pub struct ServiceProgram {
 /// [`RequestStatus::Exhausted`].
 const MAX_RETRIES: u32 = 3;
 
+/// Backoff floor for the first retry, nanoseconds.
+const BACKOFF_BASE_NS: u64 = 2_000;
+
+/// Backoff ceiling, nanoseconds.
+const BACKOFF_CAP_NS: u64 = 200_000;
+
+/// Decorrelated-jitter exponential backoff before retry `attempt`
+/// (counting from 1): a uniform draw from `[BACKOFF_BASE_NS,
+/// min(BACKOFF_CAP_NS, BACKOFF_BASE_NS * 3^attempt)]` on the plan's
+/// structural stream, so retry storms desynchronise instead of
+/// thundering in lockstep.
+fn backoff(plan: &FaultPlan, attempt: u32) -> Duration {
+    let ceil = BACKOFF_BASE_NS
+        .saturating_mul(3u64.saturating_pow(attempt))
+        .min(BACKOFF_CAP_NS);
+    Duration::from_nanos(BACKOFF_BASE_NS + plan.pick(ceil - BACKOFF_BASE_NS + 1))
+}
+
 /// Service tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -137,15 +153,10 @@ pub struct ServiceConfig {
     /// [`ReuseService::new`] or [`ReuseService::reset_stores`]); queue and
     /// worker faults apply from the next [`ReuseService::run`].
     pub faults: Option<Arc<FaultPlan>>,
-    /// Default per-request modelled-cycle budget; a request whose charged
-    /// cycles (including injected slow-request penalties) exceed it ends
-    /// as [`RequestStatus::DeadlineExceeded`]. Overridden per request by
-    /// [`Request::deadline_cycles`].
+    /// Per-request modelled-cycle budget; a request whose charged cycles
+    /// (including injected slow-request penalties) exceed it ends as
+    /// [`RequestStatus::DeadlineExceeded`].
     pub deadline_cycles: Option<u64>,
-    /// Backoff floor for the first retry, nanoseconds.
-    pub backoff_base_ns: u64,
-    /// Backoff ceiling, nanoseconds (decorrelated jitter stays under it).
-    pub backoff_cap_ns: u64,
     /// Queue depth at which the producer starts shedding requests and
     /// flips the stores to table bypass (`None` disables watermarks). A
     /// degraded service re-arms its stores once the depth falls to half
@@ -168,8 +179,6 @@ impl Default for ServiceConfig {
             cost: CostModel::o0(),
             faults: None,
             deadline_cycles: None,
-            backoff_base_ns: 20_000,
-            backoff_cap_ns: 2_000_000,
             high_watermark: None,
             admission: false,
         }
@@ -195,14 +204,6 @@ pub enum RequestStatus {
 }
 
 impl RequestStatus {
-    /// Every status, in reporting order.
-    pub const ALL: [RequestStatus; 4] = [
-        RequestStatus::Ok,
-        RequestStatus::Shed,
-        RequestStatus::DeadlineExceeded,
-        RequestStatus::Exhausted,
-    ];
-
     /// Short snake_case name (used in metrics reports).
     pub fn name(self) -> &'static str {
         match self {
@@ -213,9 +214,8 @@ impl RequestStatus {
         }
     }
 
-    /// Position in [`RequestStatus::ALL`] (indexes the per-status
-    /// latency histograms).
-    pub fn index(self) -> usize {
+    /// Position in [`ServiceReport::status_counts`].
+    fn index(self) -> usize {
         match self {
             RequestStatus::Ok => 0,
             RequestStatus::Shed => 1,
@@ -231,28 +231,19 @@ impl RequestStatus {
     }
 }
 
-/// One request: which program to run, its input stream, and optional
-/// per-request budget overrides.
+/// One request: which program to run and its input stream.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Index into the service's program list.
     pub program: usize,
     /// Input stream consumed by the program's `input()` builtin.
     pub input: Vec<i64>,
-    /// Per-request cycle budget, overriding
-    /// [`ServiceConfig::deadline_cycles`].
-    pub deadline_cycles: Option<u64>,
 }
 
 impl Request {
-    /// A request with no per-request budget overrides (the service
-    /// defaults apply).
+    /// A request for `program` on `input`.
     pub fn new(program: usize, input: Vec<i64>) -> Self {
-        Request {
-            program,
-            input,
-            deadline_cycles: None,
-        }
+        Request { program, input }
     }
 }
 
@@ -271,8 +262,11 @@ pub struct RequestResult {
     pub fingerprint: u64,
     /// Modelled cycles (store-order dependent under sharing).
     pub cycles: u64,
-    /// Host wall-clock latency, in nanoseconds: run time for executed
-    /// requests, time burned retrying for `Exhausted`, 0 for `Shed`.
+    /// Host wall-clock latency, in nanoseconds, measured on the worker
+    /// from pickup to the end of the run, poisoned-shard retries
+    /// included. A worker-side `Exhausted` records the time its retries
+    /// took; a request the producer gave up on after queue rejections,
+    /// and every `Shed` request, records 0.
     pub latency_ns: u64,
     /// Whether the program trapped (the fingerprint then hashes the trap).
     pub trapped: bool,
@@ -287,13 +281,6 @@ pub struct RequestResult {
 pub struct ServiceReport {
     /// Per-request records, indexed by request position in the batch.
     pub results: Vec<RequestResult>,
-    /// Host wall-clock for the whole batch, seconds.
-    pub wall_seconds: f64,
-    /// Latency distribution of the *executed* requests.
-    pub latency: LatencyHistogram,
-    /// Latency distribution per terminal status, in
-    /// [`RequestStatus::ALL`] order (always 4 histograms).
-    pub latency_by_status: Vec<LatencyHistogram>,
     /// Requests *executed* per worker (shed/exhausted requests reached no
     /// worker and are not counted).
     pub per_worker: Vec<u64>,
@@ -333,7 +320,8 @@ impl ServiceReport {
             .collect()
     }
 
-    /// Requests per terminal status, in [`RequestStatus::ALL`] order.
+    /// Requests per terminal status: `[ok, shed, deadline_exceeded,
+    /// exhausted]`.
     pub fn status_counts(&self) -> [u64; 4] {
         let mut counts = [0u64; 4];
         for r in &self.results {
@@ -528,21 +516,6 @@ impl ReuseService {
         self.config.faults = plan;
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<&Arc<FaultPlan>> {
-        self.config.faults.as_ref()
-    }
-
-    /// Bypass flag of every shard of every table of every program, in
-    /// (program, table, shard) order — the degradation ladder's
-    /// observable.
-    pub fn store_bypassed(&self) -> Vec<bool> {
-        self.programs
-            .iter()
-            .flat_map(|p| p.store.iter().flat_map(ShardedTable::shard_bypassed))
-            .collect()
-    }
-
     /// Total poisoned-shard recoveries across every store.
     pub fn poison_recoveries(&self) -> u64 {
         self.programs
@@ -631,7 +604,6 @@ impl ReuseService {
         let faults_before = self.config.faults.as_ref().map(|p| p.counters());
         let mut push_retries = 0u64;
         let mut degraded_flips = 0u64;
-        let t0 = Instant::now();
         std::thread::scope(|s| {
             for w in 0..workers {
                 let queue = &queue;
@@ -695,11 +667,7 @@ impl ReuseService {
                             }
                             push_retries += 1;
                             if let Some(plan) = &self.config.faults {
-                                std::thread::sleep(Duration::from_nanos(plan.backoff_ns(
-                                    attempt,
-                                    self.config.backoff_base_ns,
-                                    self.config.backoff_cap_ns,
-                                )));
+                                std::thread::sleep(backoff(plan, attempt));
                             }
                             item = it;
                         }
@@ -721,7 +689,6 @@ impl ReuseService {
                 self.for_each_store(ShardedTable::end_forced_bypass);
             }
         });
-        let wall_seconds = t0.elapsed().as_secs_f64();
         let after = self.per_program_stats();
         let per_program_delta: Vec<TableStats> = after
             .iter()
@@ -738,25 +705,16 @@ impl ReuseService {
             .enumerate()
             .map(|(i, r)| r.unwrap_or_else(|| panic!("request {i} was never served")))
             .collect();
-        let mut latency = LatencyHistogram::new();
-        let mut latency_by_status: Vec<LatencyHistogram> = (0..RequestStatus::ALL.len())
-            .map(|_| LatencyHistogram::new())
-            .collect();
         let mut per_worker = vec![0u64; workers];
         let mut retries = push_retries;
         for r in &results {
-            latency_by_status[r.status.index()].record(r.latency_ns);
             retries += u64::from(r.retries);
             if r.status.executed() {
-                latency.record(r.latency_ns);
                 per_worker[r.worker] += 1;
             }
         }
         ServiceReport {
             results,
-            wall_seconds,
-            latency,
-            latency_by_status,
             per_worker,
             store_delta,
             per_program_delta,
@@ -796,11 +754,7 @@ impl ReuseService {
                     if failed_attempts > MAX_RETRIES {
                         break None;
                     }
-                    std::thread::sleep(Duration::from_nanos(plan.backoff_ns(
-                        failed_attempts,
-                        self.config.backoff_base_ns,
-                        self.config.backoff_cap_ns,
-                    )));
+                    std::thread::sleep(backoff(plan, failed_attempts));
                     continue;
                 }
             }
@@ -824,11 +778,10 @@ impl ReuseService {
         let mut charged_cycles = cycles;
         if let Some(plan) = &self.config.faults {
             if plan.fire(FailPoint::SlowRequest) {
-                charged_cycles = charged_cycles.saturating_add(plan.slow_penalty_cycles());
+                charged_cycles = charged_cycles.saturating_add(SLOW_PENALTY_CYCLES);
             }
         }
-        let deadline_cycles = req.deadline_cycles.or(self.config.deadline_cycles);
-        let status = if deadline_cycles.is_some_and(|d| charged_cycles > d) {
+        let status = if charged_cycles > self.config.deadline_cycles.unwrap_or(u64::MAX) {
             RequestStatus::DeadlineExceeded
         } else {
             RequestStatus::Ok
@@ -869,13 +822,11 @@ impl ReuseService {
     pub fn run_private_sequential(&self, requests: &[Request]) -> ServiceReport {
         let mut compiled: Vec<Option<vm::Precompiled<'_>>> =
             (0..self.programs.len()).map(|_| None).collect();
-        let mut latency = LatencyHistogram::new();
         let mut results = Vec::with_capacity(requests.len());
         let mut table_stats = TableStats::default();
         let mut per_program: Vec<TableStats> = (0..self.programs.len())
             .map(|_| TableStats::default())
             .collect();
-        let t0 = Instant::now();
         for (idx, req) in requests.iter().enumerate() {
             let rt = &self.programs[req.program];
             let pre = compiled[req.program]
@@ -887,7 +838,6 @@ impl ReuseService {
             let start = Instant::now();
             let outcome = vm::run_precompiled(&rt.program.module, pre, config);
             let latency_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            latency.record(latency_ns);
             if let Ok(o) = &outcome {
                 for t in &o.tables {
                     table_stats.merge(t.stats());
@@ -906,18 +856,9 @@ impl ReuseService {
                 retries: 0,
             });
         }
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        // The baseline is fault-free by construction: every request is Ok.
-        let mut latency_by_status: Vec<LatencyHistogram> = (0..RequestStatus::ALL.len())
-            .map(|_| LatencyHistogram::new())
-            .collect();
-        latency_by_status[RequestStatus::Ok.index()] = latency.clone();
         ServiceReport {
             per_worker: vec![results.len() as u64],
             results,
-            wall_seconds,
-            latency,
-            latency_by_status,
             store_delta: table_stats,
             per_program_delta: per_program,
             retries: 0,
@@ -1048,7 +989,7 @@ mod tests {
         assert_eq!(report.fingerprints(), baseline.fingerprints());
         assert_eq!(report.results.len(), 24);
         assert!(report.results.iter().all(|r| !r.trapped));
-        assert_eq!(report.latency.count(), 24);
+        assert_eq!(report.executed_fingerprints().len(), 24);
         assert_eq!(report.per_worker.iter().sum::<u64>(), 24);
     }
 
@@ -1115,7 +1056,6 @@ mod tests {
         assert_eq!(report.degraded_flips, 0);
         assert!(report.faults.is_none());
         assert_eq!(report.executed_fingerprints().len(), 12);
-        assert_eq!(report.latency_by_status[0].count(), 12);
     }
 
     #[test]
@@ -1135,26 +1075,11 @@ mod tests {
         assert_eq!(report.status_counts(), [0, 0, 8, 0]);
         // Deadline-exceeded requests still executed: outputs must match.
         assert_eq!(report.fingerprints(), baseline.fingerprints());
-        assert_eq!(report.latency.count(), 8, "executed set covers them");
-    }
-
-    #[test]
-    fn per_request_deadline_overrides_the_config_default() {
-        let svc = ReuseService::new(
-            vec![memoized_program("work")],
-            ServiceConfig {
-                workers: 1,
-                deadline_cycles: Some(1),
-                ..ServiceConfig::default()
-            },
-        )
-        .expect("valid specs");
-        let mut generous = Request::new(0, vec![1]);
-        generous.deadline_cycles = Some(u64::MAX);
-        let tight = Request::new(0, vec![2]);
-        let report = svc.run(&[generous, tight]);
-        assert_eq!(report.results[0].status, RequestStatus::Ok);
-        assert_eq!(report.results[1].status, RequestStatus::DeadlineExceeded);
+        assert_eq!(
+            report.executed_fingerprints().len(),
+            8,
+            "executed set covers them"
+        );
     }
 
     #[test]
@@ -1164,8 +1089,6 @@ mod tests {
             vec![memoized_program("work")],
             ServiceConfig {
                 workers: 2,
-                backoff_base_ns: 100,
-                backoff_cap_ns: 1_000,
                 faults: Some(plan),
                 ..ServiceConfig::default()
             },
@@ -1207,21 +1130,53 @@ mod tests {
             "one worker behind a 2-deep watermark must shed some of 60 requests"
         );
         assert!(report.degraded_flips >= 1);
-        // After the batch the stores are re-armed.
-        assert!(
-            svc.store_bypassed().iter().all(|&b| !b),
-            "stores must be restored after the batch"
-        );
-        // Shed requests have fingerprint 0 and are excluded; executed
-        // ones still match the baseline.
+        // Shed requests never ran: no latency, fingerprint 0, excluded
+        // from the equivalence check; executed ones still match the
+        // baseline.
+        for r in report
+            .results
+            .iter()
+            .filter(|r| r.status == RequestStatus::Shed)
+        {
+            assert_eq!(
+                (r.latency_ns, r.fingerprint),
+                (0, 0),
+                "request {}",
+                r.request
+            );
+        }
         let base = baseline.fingerprints();
         for (idx, fp) in report.executed_fingerprints() {
             assert_eq!(fp, base[idx]);
         }
-        assert_eq!(
-            report.latency_by_status[RequestStatus::Shed.index()].count(),
-            shed
+        // After the batch the stores are re-armed. A bypassed store
+        // records nothing, so a request served twice can hit only if
+        // the first serving recorded.
+        let again = [Request::new(0, vec![7])];
+        let first = svc.run(&again);
+        let second = svc.run(&again);
+        assert_eq!(second.status_counts(), [1, 0, 0, 0]);
+        assert_eq!(first.fingerprints(), second.fingerprints());
+        assert!(
+            second.store_delta.hits > 0,
+            "stores must be re-armed after the degraded batch"
         );
+    }
+
+    #[test]
+    fn backoff_grows_within_bounds() {
+        let p = FaultPlan::new(11);
+        for attempt in 1..8 {
+            for _ in 0..50 {
+                let ns = backoff(&p, attempt).as_nanos() as u64;
+                assert!(ns >= BACKOFF_BASE_NS, "below base: {ns}");
+                assert!(ns <= BACKOFF_CAP_NS, "above cap: {ns}");
+            }
+        }
+        // Attempt 1 is bounded by base*3.
+        for _ in 0..50 {
+            assert!(backoff(&p, 1).as_nanos() as u64 <= 3 * BACKOFF_BASE_NS);
+        }
     }
 
     #[test]
@@ -1327,8 +1282,6 @@ mod tests {
             vec![memoized_program("work")],
             ServiceConfig {
                 workers: 2,
-                backoff_base_ns: 100,
-                backoff_cap_ns: 1_000,
                 faults: Some(plan),
                 ..ServiceConfig::default()
             },
