@@ -18,7 +18,7 @@ use vm::{CostModel, OptLevel, RunConfig};
 use workloads::Workload;
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale"]);
     let scale = args.scale;
     let mut rows = Vec::new();
     for w in workloads::main_seven() {

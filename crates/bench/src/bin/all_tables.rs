@@ -3,7 +3,7 @@
 //! fidelity for time.
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale"]);
     let s = args.scale;
     println!("compreuse evaluation harness — input scale {s}");
 

@@ -2,7 +2,7 @@
 //! different hash table sizes. Select with --opt o0|o3.
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale", "--opt"]);
     let rows = bench::reports::fig14_15(args.opt, args.scale);
     let which = match args.opt {
         vm::OptLevel::O0 => "Figure 14: speedups vs hash table size (O0)",

@@ -3,7 +3,7 @@
 //! 13 (GNU Go patterns). Select one with --fig N or omit for all.
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale", "--fig"]);
     match args.fig {
         Some(n) => bench::reports::print_figure(n, args.scale),
         None => {

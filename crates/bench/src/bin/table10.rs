@@ -2,7 +2,7 @@
 //! different input files (profiled on defaults, run on alternates, O3).
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale"]);
     let rows = bench::reports::table10(args.scale);
     bench::fmt::print_table(
         &format!(

@@ -2,7 +2,7 @@
 //! decision (granularity, overhead, DIP#, reuse rate, table size).
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale"]);
     let rows = bench::reports::table3(args.scale);
     bench::fmt::print_table(
         &format!(

@@ -2,7 +2,7 @@
 //! profiled, and transformed.
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale"]);
     let rows = bench::reports::table4(args.scale);
     bench::fmt::print_table(
         &format!("Table 4: number of code segments (scale {})", args.scale),

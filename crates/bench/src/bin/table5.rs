@@ -2,7 +2,7 @@
 //! (1/4/16/64-entry LRU), modelling the hardware reuse-buffer proposals.
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale"]);
     let rows = bench::reports::table5(args.scale);
     bench::fmt::print_table(
         &format!(

@@ -2,7 +2,7 @@
 //! improvement. Select with --opt o0|o3 (default o0); --scale `<f>`.
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale", "--opt"]);
     let rows = bench::reports::table6_or_7(args.opt, args.scale);
     let which = match args.opt {
         vm::OptLevel::O0 => "Table 6: performance improvement with O0",

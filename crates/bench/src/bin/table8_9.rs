@@ -2,7 +2,7 @@
 //! Select with --opt o0|o3 (default o0); --scale `<f>`.
 
 fn main() {
-    let args = bench::Args::parse();
+    let args = bench::Args::parse(&["--scale", "--opt"]);
     let rows = bench::reports::table8_or_9(args.opt, args.scale);
     let which = match args.opt {
         vm::OptLevel::O0 => "Table 8: energy saving with O0",

@@ -16,9 +16,10 @@
 //! | `all_tables` | everything above in one run |
 //!
 //! Common flags: `--scale <f>` (input-size factor, default 0.25),
-//! `--opt <o0|o3>` where applicable; a malformed command line prints a
-//! usage line and exits with status 2. Run with `--release`; a tree-walking
-//! interpreter in debug mode is an order of magnitude slower.
+//! `--opt <o0|o3>` where applicable; a malformed command line, or a flag
+//! the binary does not read, prints a usage line and exits with status 2.
+//! Run with `--release`; a tree-walking interpreter in debug mode is an
+//! order of magnitude slower.
 
 #![warn(missing_docs)]
 
@@ -52,19 +53,35 @@ impl Default for Args {
 }
 
 impl Args {
-    /// Parses `--scale <f>`, `--opt <o0|o3>`, `--fig <n>` from the process
-    /// arguments. A malformed command line prints the error and a usage
-    /// line to stderr and exits with status 2 ([`exit_usage`]).
-    pub fn parse() -> Args {
+    /// Parses the flags a binary reads, named in `reads` (a subset of
+    /// `--scale <f>`, `--opt <o0|o3>`, `--fig <n>`), from the process
+    /// arguments. Any other flag, a flag the binary does not read among
+    /// them, or a malformed value prints the error and a usage line
+    /// naming the flags in `reads` to stderr and exits with status 2
+    /// ([`exit_usage`]).
+    pub fn parse(reads: &[&str]) -> Args {
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        Args::from_argv(&argv)
-            .unwrap_or_else(|e| exit_usage(&e, "[--scale f] [--opt o0|o3] [--fig n]"))
+        Args::from_argv(&argv, reads).unwrap_or_else(|e| {
+            let usage: Vec<&str> = reads
+                .iter()
+                .map(|&flag| match flag {
+                    "--scale" => "[--scale f]",
+                    "--opt" => "[--opt o0|o3]",
+                    "--fig" => "[--fig n]",
+                    other => other,
+                })
+                .collect();
+            exit_usage(&e, &usage.join(" "))
+        })
     }
 
-    fn from_argv(argv: &[String]) -> Result<Args, String> {
+    fn from_argv(argv: &[String], reads: &[&str]) -> Result<Args, String> {
         let mut args = Args::default();
         let mut it = argv.iter();
         while let Some(flag) = it.next() {
+            if !reads.contains(&flag.as_str()) {
+                return Err(format!("unknown argument {flag}"));
+            }
             let value = it.next().map(String::as_str);
             match flag.as_str() {
                 "--scale" => args.scale = parse_scale(value)?,

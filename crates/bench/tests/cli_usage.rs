@@ -1,6 +1,7 @@
 //! A malformed command line gets a usage line and exit status 2, never a
 //! panic: `metrics` on an unknown flag or workload, and the table
-//! binaries (through `bench::Args::parse`) on a malformed value.
+//! binaries (through `bench::Args::parse`) on a malformed value or on a
+//! flag they do not read.
 
 use std::process::Command;
 
@@ -24,5 +25,14 @@ fn metrics_refuses_an_unknown_workload() {
 
 #[test]
 fn table_binaries_refuse_a_malformed_value() {
-    assert_usage_error(env!("CARGO_BIN_EXE_table4"), &["--opt", "o9"]);
+    // `table6_7` reads `--opt`, so the value itself is what it refuses.
+    assert_usage_error(env!("CARGO_BIN_EXE_table6_7"), &["--opt", "o9"]);
+}
+
+#[test]
+fn table_binaries_refuse_a_flag_they_do_not_read() {
+    // Only `figures` reads `--fig`; `table4` would ignore it.
+    assert_usage_error(env!("CARGO_BIN_EXE_table4"), &["--fig", "9"]);
+    // Only `table6_7`, `table8_9` and `fig14_15` read `--opt`.
+    assert_usage_error(env!("CARGO_BIN_EXE_table4"), &["--opt", "o3"]);
 }

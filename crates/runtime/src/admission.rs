@@ -10,8 +10,8 @@
 
 /// 64-bit mix (splitmix64 finaliser) used for the TinyLFU row hashes.
 /// Distinct from the paper's Jenkins pipeline on purpose: the sketch
-/// wants hash bits decorrelated from both the shard choice (Fibonacci
-/// high bits) and the in-shard index (Jenkins low bits).
+/// wants hash bits decorrelated from the planned index (`key mod slots`
+/// or Jenkins), whose bits pick both the shard and the entry inside it.
 #[inline]
 fn mix64(mut x: u64) -> u64 {
     x ^= x >> 30;

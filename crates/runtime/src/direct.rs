@@ -143,8 +143,23 @@ impl DirectTable {
         green: bool,
         validate: FpValidator,
     ) -> bool {
-        debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
         let idx = index_of(key, self.meta.len());
+        self.lookup_dep_at(idx, key, out, green, validate)
+    }
+
+    /// [`DirectTable::lookup_dep`] at slot `idx`, which the caller derived
+    /// from `key`: a [`crate::ShardedTable`] shard probes the slot its
+    /// split of the planned index gives, not `index_of` of its own size.
+    #[inline]
+    pub(crate) fn lookup_dep_at(
+        &mut self,
+        idx: usize,
+        key: &[u64],
+        out: &mut Vec<u64>,
+        green: bool,
+        validate: FpValidator,
+    ) -> bool {
+        debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
         self.stats.accesses += 1;
         self.access_counts[idx] += 1;
         let meta = self.meta[idx];
@@ -192,12 +207,19 @@ impl DirectTable {
     /// In debug builds, panics if `key` or `outputs` have the wrong number
     /// of words.
     pub fn record_dep(&mut self, key: &[u64], outputs: &[u64], fp: &[u64]) {
+        let idx = index_of(key, self.meta.len());
+        self.record_dep_at(idx, key, outputs, fp);
+    }
+
+    /// [`DirectTable::record_dep`] at slot `idx`, which the caller derived
+    /// from `key`; see [`DirectTable::lookup_dep_at`].
+    #[inline]
+    pub(crate) fn record_dep_at(&mut self, idx: usize, key: &[u64], outputs: &[u64], fp: &[u64]) {
         debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
         debug_assert_eq!(outputs.len(), self.out_words, "output width mismatch");
         if fp.len() > self.fp_cap {
             self.grow_fp_cap(fp.len());
         }
-        let idx = index_of(key, self.meta.len());
         self.stats.insertions += 1;
         let base = idx * self.stride();
         if self.meta[idx] != 0 && self.data[base..base + self.key_words] != *key {
@@ -266,13 +288,12 @@ impl DirectTable {
         self.stats = stats;
     }
 
-    /// The key resident in the slot `key` indexes to, when that slot is
-    /// occupied by a *different* key — i.e. the entry a recording of `key`
-    /// would evict. `None` when the slot is empty or already holds `key`
-    /// (no eviction, so admission has nothing to decide).
-    pub(crate) fn resident_key(&self, key: &[u64]) -> Option<&[u64]> {
+    /// The key resident in slot `idx` (where a recording of `key` goes),
+    /// when that slot is occupied by a *different* key — i.e. the entry
+    /// the recording would evict. `None` when the slot is empty or already
+    /// holds `key` (no eviction, so admission has nothing to decide).
+    pub(crate) fn resident_key_at(&self, idx: usize, key: &[u64]) -> Option<&[u64]> {
         debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
-        let idx = index_of(key, self.meta.len());
         if self.meta[idx] == 0 {
             return None;
         }

@@ -41,22 +41,6 @@ pub fn jenkins_one_at_a_time(bytes: &[u8]) -> u32 {
     jenkins_final(hash)
 }
 
-/// 32-bit Jenkins hash over a key's words (little-endian byte stream).
-///
-/// Shard selection for [`crate::ShardedTable`] uses this instead of
-/// [`index_of`]: there is no single-word modulo special case, so the shard
-/// choice stays decorrelated from the in-shard index even for the paper's
-/// common one-integer keys.
-pub fn hash_words(key: &[u64]) -> u32 {
-    let mut hash: u32 = 0;
-    for &w in key {
-        for b in w.to_le_bytes() {
-            hash = jenkins_mix(hash, b);
-        }
-    }
-    jenkins_final(hash)
-}
-
 /// Computes the table index for a concatenated key of 64-bit words.
 ///
 /// Single-word keys (the common case in the paper: `quan`'s one integer

@@ -435,6 +435,29 @@ impl MemoTable {
         self.kind.lookup_dep(slot, key, out, green, validate)
     }
 
+    /// [`MemoTable::lookup_dep`] at entry `idx`, which a
+    /// [`ShardedTable`] shard derives from `key` by splitting the planned
+    /// index. The LRU kind has no entry index and ignores it.
+    pub(crate) fn lookup_dep_at(
+        &mut self,
+        slot: usize,
+        idx: usize,
+        key: &[u64],
+        out: &mut Vec<u64>,
+        green: bool,
+        validate: FpValidator,
+    ) -> bool {
+        if self.bypassed {
+            self.bypassed_total += 1;
+            return false;
+        }
+        match &mut self.kind {
+            TableKind::Direct(t) => t.lookup_dep_at(idx, key, out, green, validate),
+            TableKind::Merged(t) => t.lookup_dep_at(slot, idx, key, out, green, validate),
+            TableKind::Lru(t) => t.lookup_dep(key, out, green, validate),
+        }
+    }
+
     /// Records `outputs` for `key` in segment `slot` (dropped while the
     /// table is bypassed).
     pub fn record(&mut self, slot: usize, key: &[u64], outputs: &[u64]) {
@@ -450,6 +473,27 @@ impl MemoTable {
             return;
         }
         self.kind.record_dep(slot, key, outputs, fp);
+    }
+
+    /// [`MemoTable::record_dep`] at entry `idx`; see
+    /// [`MemoTable::lookup_dep_at`].
+    pub(crate) fn record_dep_at(
+        &mut self,
+        slot: usize,
+        idx: usize,
+        key: &[u64],
+        outputs: &[u64],
+        fp: &[u64],
+    ) {
+        if self.bypassed {
+            self.dropped_records += 1;
+            return;
+        }
+        match &mut self.kind {
+            TableKind::Direct(t) => t.record_dep_at(idx, key, outputs, fp),
+            TableKind::Merged(t) => t.record_dep_at(slot, idx, key, outputs, fp),
+            TableKind::Lru(t) => t.record_dep(key, outputs, fp),
+        }
     }
 
     /// Declares that segment `slot` records an `fp_words`-word dependency
@@ -519,14 +563,14 @@ impl MemoTable {
         self.dropped_records = dropped_records;
     }
 
-    /// The key a recording of `key` would evict (occupied slot, different
-    /// key), for the TinyLFU admission decision. `None` when recording
-    /// `key` evicts nothing — or for the LRU kind, which evicts by recency
-    /// and takes no admission gate.
-    pub(crate) fn resident_key(&self, key: &[u64]) -> Option<&[u64]> {
+    /// The key a recording of `key` at entry `idx` would evict (occupied
+    /// entry, different key), for the TinyLFU admission decision. `None`
+    /// when the recording evicts nothing — or for the LRU kind, which
+    /// evicts by recency and takes no admission gate.
+    pub(crate) fn resident_key_at(&self, idx: usize, key: &[u64]) -> Option<&[u64]> {
         match &self.kind {
-            TableKind::Direct(t) => t.resident_key(key),
-            TableKind::Merged(t) => t.resident_key(key),
+            TableKind::Direct(t) => t.resident_key_at(idx, key),
+            TableKind::Merged(t) => t.resident_key_at(idx, key),
             TableKind::Lru(_) => None,
         }
     }

@@ -169,9 +169,24 @@ impl MergedTable {
         green: bool,
         validate: FpValidator,
     ) -> bool {
+        let idx = index_of(key, self.valid.len());
+        self.lookup_dep_at(slot, idx, key, out, green, validate)
+    }
+
+    /// [`MergedTable::lookup_dep`] at entry `idx`, which the caller
+    /// derived from `key`; see [`crate::DirectTable::lookup_dep_at`].
+    #[inline]
+    pub(crate) fn lookup_dep_at(
+        &mut self,
+        slot: usize,
+        idx: usize,
+        key: &[u64],
+        out: &mut Vec<u64>,
+        green: bool,
+        validate: FpValidator,
+    ) -> bool {
         debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
         assert!(slot < self.out_words.len(), "slot out of range");
-        let idx = index_of(key, self.valid.len());
         self.stats.accesses += 1;
         self.slot_stats[slot].accesses += 1;
         self.access_counts[idx] += 1;
@@ -229,11 +244,25 @@ impl MergedTable {
     /// via [`MergedTable::set_fp_words`]; out-of-range slots panic in all
     /// builds.
     pub fn record_dep(&mut self, slot: usize, key: &[u64], outputs: &[u64], fp: &[u64]) {
+        let idx = index_of(key, self.valid.len());
+        self.record_dep_at(slot, idx, key, outputs, fp);
+    }
+
+    /// [`MergedTable::record_dep`] at entry `idx`, which the caller
+    /// derived from `key`; see [`crate::DirectTable::lookup_dep_at`].
+    #[inline]
+    pub(crate) fn record_dep_at(
+        &mut self,
+        slot: usize,
+        idx: usize,
+        key: &[u64],
+        outputs: &[u64],
+        fp: &[u64],
+    ) {
         debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
         assert!(slot < self.out_words.len(), "slot out of range");
         debug_assert_eq!(outputs.len(), self.out_words[slot], "output width mismatch");
         debug_assert_eq!(fp.len(), self.fp_words[slot], "fingerprint width mismatch");
-        let idx = index_of(key, self.valid.len());
         self.stats.insertions += 1;
         self.slot_stats[slot].insertions += 1;
         let stride = self.stride();
@@ -313,11 +342,10 @@ impl MergedTable {
         self.stats = stats;
     }
 
-    /// The key a recording of `key` would evict; see
-    /// [`crate::DirectTable::resident_key`].
-    pub(crate) fn resident_key(&self, key: &[u64]) -> Option<&[u64]> {
+    /// The key a recording of `key` at entry `idx` would evict; see
+    /// [`crate::DirectTable::resident_key_at`].
+    pub(crate) fn resident_key_at(&self, idx: usize, key: &[u64]) -> Option<&[u64]> {
         debug_assert_eq!(key.len(), self.key_words, "key width mismatch");
-        let idx = index_of(key, self.valid.len());
         if self.valid[idx] == 0 {
             return None;
         }

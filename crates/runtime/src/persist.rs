@@ -38,7 +38,11 @@
 //! statistics words, four of them counters of retired layers that were
 //! always 0 (optimistic hits and retries, L1 hits and promotions), and
 //! version 3's checksum was a plain wrapping sum, which let two words
-//! with equal sums trade places unnoticed.
+//! with equal sums trade places unnoticed. Version 4 had today's layout
+//! under the old shard placement (a second hash picked the shard, then
+//! `index_of` over the shard's own size picked the entry). It passes the
+//! geometry check, but its rows would land in entries their keys no
+//! longer route to, where they cannot hit and only take room.
 //!
 //! What a snapshot deliberately does **not** carry: the forced-bypass
 //! flag (a restarted service is not overloaded yet), per-segment
@@ -52,8 +56,9 @@ use std::path::Path;
 use crate::sharded::ShardedTable;
 use crate::stats::TableStats;
 
-/// Snapshot format version; bumped on any layout change.
-pub const SNAPSHOT_VERSION: u64 = 4;
+/// Snapshot format version; bumped on any layout change, and on any
+/// change to which keys an entry slot holds.
+pub const SNAPSHOT_VERSION: u64 = 5;
 
 /// Magic word opening every snapshot ("CRSNAP01").
 const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"CRSNAP01");

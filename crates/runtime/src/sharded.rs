@@ -10,11 +10,21 @@
 //!
 //! ## Sharding scheme
 //!
-//! A key is routed to shard `fib(jenkins(key)) >> (32 - log2 N)`:
-//! [`hash_words`] streams the key's words through the Jenkins hash (no
-//! single-word modulo shortcut, unlike [`crate::hash::index_of`]) and a
-//! Fibonacci multiply selects the *high* bits, so the shard choice stays
-//! decorrelated from the in-shard slot index (which uses the low bits).
+//! A key's place is the compiler's planned index, split. The store
+//! computes `idx = index_of(key, spec.slots)` once per probe — `key mod
+//! slots` for one-word keys, Jenkins for wider ones, exactly what a
+//! private table of the same spec computes — and splits it: the low
+//! `log2 N` bits pick the shard, and `idx >> log2 N` is the entry inside
+//! that shard's table, used as is (the shard does not hash again). The
+//! split is a bijection from `0..slots` into `N` shards of
+//! `ceil(slots / N)` entries each, so two keys share a shard entry exactly
+//! when they share a private-table slot: a sharded store holds the
+//! entries, and counts the hits, collisions and evictions, of the private
+//! table the cost-benefit analysis sized (PAPER.md §2.1), whatever N is.
+//! A spec whose slot count is not a power of two, or smaller than N,
+//! needs no rule of its own: the split still fits, and the shards (or
+//! shard entries) no index reaches stay empty.
+//!
 //! Within a shard the lookup/record contract is exactly the sequential
 //! one, which is what makes results store-independent: a hit only ever
 //! returns outputs recorded for a bit-identical key.
@@ -51,7 +61,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::admission::{key_hash64, TinyLfu};
 use crate::faults::{FailPoint, FaultPlan, INJECTED_POISON_PANIC};
-use crate::hash::hash_words;
+use crate::hash::index_of;
 use crate::stats::TableStats;
 use crate::{refuse_fingerprint, FpValidator, MemoTable, SpecError, TableSpec};
 
@@ -72,8 +82,10 @@ struct Shard {
 #[derive(Debug)]
 pub struct ShardedTable {
     shards: Vec<Mutex<Shard>>,
-    /// `shards.len() - 1`; the length is a power of two.
-    mask: u32,
+    /// The spec's slot count: the planned index is `index_of(key, slots)`.
+    slots: usize,
+    /// `log2(shards.len())`; the length is a power of two.
+    bits: u32,
     /// Times a poisoned shard was recovered (cleared and restarted empty).
     poison_recoveries: AtomicU64,
     /// Chaos plane; `None` (the default) costs one branch per lookup.
@@ -95,11 +107,10 @@ impl ShardedTable {
     /// fingerprint widths, rounding `shards` up to the next power of two
     /// (minimum 1). Each shard is the table
     /// [`MemoTable::try_from_plan`] builds, so multi-segment specs get
-    /// merged shards and single-segment specs direct-addressed ones. The
-    /// spec's slot budget is divided across the shards with *ceiling*
-    /// division, so the aggregate shard capacity is never below
-    /// `spec.slots` (a 100-slot spec over 8 shards serves 104 slots, not
-    /// 96).
+    /// merged shards and single-segment specs direct-addressed ones. Each
+    /// shard gets `ceil(spec.slots / shards)` entries, the room the split
+    /// of the planned index needs (see the module docs): a 100-slot spec
+    /// over 8 shards serves 104 entries, of which the keys reach 100.
     ///
     /// # Errors
     ///
@@ -127,7 +138,8 @@ impl ShardedTable {
         }
         Ok(ShardedTable {
             shards: built,
-            mask: (n - 1) as u32,
+            slots: spec.slots,
+            bits: n.trailing_zeros(),
             poison_recoveries: AtomicU64::new(0),
             faults: None,
         })
@@ -142,19 +154,18 @@ impl ShardedTable {
         self.faults = plan;
     }
 
-    fn shard_index(&self, key: &[u64]) -> usize {
-        if self.mask == 0 || key.is_empty() {
-            return 0;
-        }
-        let bits = (self.mask + 1).trailing_zeros();
-        let h = hash_words(key).wrapping_mul(0x9E37_79B1);
-        (h >> (32 - bits)) as usize
+    /// Where `key` lives: `(shard, entry within the shard)`, the split of
+    /// its planned index `index_of(key, spec.slots)`.
+    fn place(&self, key: &[u64]) -> (usize, usize) {
+        let idx = index_of(key, self.slots);
+        (idx & ((1 << self.bits) - 1), idx >> self.bits)
     }
 
-    /// The shard `key` routes to (exposed so tests and fault drivers can
-    /// target a specific shard deterministically).
+    /// The shard `key` routes to: the low bits of its planned index
+    /// (exposed so tests and fault drivers can target a specific shard
+    /// deterministically).
     pub fn shard_of(&self, key: &[u64]) -> usize {
-        self.shard_index(key)
+        self.place(key).0
     }
 
     fn acquire(&self, i: usize) -> MutexGuard<'_, Shard> {
@@ -178,7 +189,7 @@ impl ShardedTable {
         f(&mut self.acquire(i).table)
     }
 
-    /// Looks up `key` for segment `slot` in the shard the key hashes to.
+    /// Looks up `key` for segment `slot` in the shard the key routes to.
     /// Same contract as [`MemoTable::lookup`]; a bypassed shard answers a
     /// forced miss, as does a fired [`FailPoint::ProbeMiss`] (which skips
     /// the probe entirely, leaving statistics untouched).
@@ -186,7 +197,7 @@ impl ShardedTable {
         self.lookup_dep(slot, key, out, false, &mut refuse_fingerprint)
     }
 
-    /// Dependency-validating lookup in the shard the key hashes to; same
+    /// Dependency-validating lookup in the shard the key routes to; same
     /// contract as [`MemoTable::lookup_dep`]. The validator runs under the
     /// shard lock (it only reads caller-local epoch state, so it cannot
     /// deadlock against other shards). A fired [`FailPoint::ProbeMiss`]
@@ -204,13 +215,14 @@ impl ShardedTable {
                 return false;
             }
         }
-        self.with_shard(self.shard_index(key), |t| {
-            t.lookup_dep(slot, key, out, green, validate)
+        let (shard, idx) = self.place(key);
+        self.with_shard(shard, |t| {
+            t.lookup_dep_at(slot, idx, key, out, green, validate)
         })
     }
 
     /// Records `outputs` for `key` in segment `slot` in the shard the key
-    /// hashes to (dropped while that shard is bypassed).
+    /// routes to (dropped while that shard is bypassed).
     pub fn record(&self, slot: usize, key: &[u64], outputs: &[u64]) {
         self.record_dep(slot, key, outputs, &[])
     }
@@ -228,12 +240,13 @@ impl ShardedTable {
     /// the sketch entirely: the bypass drops the record, and the drop is
     /// counted in [`ShardedTable::dropped_records`], not as a reject.
     pub fn record_dep(&self, slot: usize, key: &[u64], outputs: &[u64], fp: &[u64]) {
-        let mut guard = self.acquire(self.shard_index(key));
+        let (at, idx) = self.place(key);
+        let mut guard = self.acquire(at);
         let shard = &mut *guard;
         let admitted = match &mut shard.sketch {
             Some(lfu) if !shard.table.is_bypassed() => {
                 let candidate = key_hash64(key);
-                match shard.table.resident_key(key).map(key_hash64) {
+                match shard.table.resident_key_at(idx, key).map(key_hash64) {
                     Some(victim) => lfu.admits(candidate, victim),
                     None => {
                         lfu.observe(candidate);
@@ -244,7 +257,7 @@ impl ShardedTable {
             _ => true,
         };
         if admitted {
-            shard.table.record_dep(slot, key, outputs, fp);
+            shard.table.record_dep_at(slot, idx, key, outputs, fp);
         } else {
             shard.admission_rejects += 1;
         }
@@ -287,13 +300,6 @@ impl ShardedTable {
                 s.admission_rejects += shard.admission_rejects;
                 s
             })
-            .collect()
-    }
-
-    /// Per-shard bypass flags, in shard order.
-    pub fn shard_bypassed(&self) -> Vec<bool> {
-        (0..self.shards.len())
-            .map(|i| self.with_shard(i, |t| t.is_bypassed()))
             .collect()
     }
 
@@ -614,14 +620,27 @@ mod tests {
     fn forced_bypass_flips_all_shards_and_ends_cleanly() {
         let t = ShardedTable::try_from_spec(&spec(64), 4).unwrap();
         let mut out = Vec::new();
-        t.record(0, &[5], &[50]);
+        // Keys 0..4 are planned indices 0..4: one key per shard.
+        for k in 0..4u64 {
+            assert_eq!(t.shard_of(&[k]), k as usize);
+            t.record(0, &[k], &[k * 10]);
+        }
         t.force_bypass();
-        assert!(t.shard_bypassed().iter().all(|&b| b));
-        assert!(!t.lookup(0, &[5], &mut out), "bypassed: forced miss");
+        for k in 0..4u64 {
+            assert!(
+                !t.lookup(0, &[k], &mut out),
+                "shard {k} bypassed: forced miss"
+            );
+            t.record(0, &[k], &[k * 10 + 1]);
+            assert_eq!(t.dropped_records(), k + 1, "shard {k} dropped the record");
+        }
+        assert_eq!(t.bypassed_total(), 4);
         t.end_forced_bypass();
-        assert!(t.shard_bypassed().iter().all(|&b| !b));
-        assert!(t.lookup(0, &[5], &mut out), "entries survived the bypass");
-        assert_eq!(out, vec![50]);
+        for k in 0..4u64 {
+            assert!(t.lookup(0, &[k], &mut out), "entries survived the bypass");
+            assert_eq!(out, vec![k * 10], "the dropped record wrote nothing");
+        }
+        assert_eq!(t.dropped_records(), 4, "recording resumed");
     }
 
     fn admission_store(enabled: bool) -> ShardedTable {

@@ -226,12 +226,18 @@ fn version_bumped_snapshots_are_refused() {
     let mut v3 = future.clone();
     v3[1] = 3;
     sum_checksum(&mut v3);
+    // Version 4 had today's layout and checksum under the old shard
+    // placement: its geometry matches, so only the version refuses it.
+    let mut v4 = future.clone();
+    v4[1] = 4;
+    fix_checksum(&mut v4);
     future[1] = SNAPSHOT_VERSION + 1;
     fix_checksum(&mut future);
     let cases = [
         (v1_snapshot(64), 1, build_store(64, 1, &[(1, 0)], false)),
         (v2_snapshot(64), 2, build_store(64, 1, &[(1, 0)], false)),
         (v3, 3, build_store(64, 2, &segs, false)),
+        (v4, 4, build_store(64, 2, &segs, false)),
         (
             future,
             SNAPSHOT_VERSION + 1,
